@@ -17,7 +17,7 @@ Public API tour
 * :mod:`repro.sweeps` — declarative measurement grids with on-disk
   result caching (the ``sweep`` CLI subcommand).
 * :mod:`repro.exec` — pluggable sweep execution backends (serial /
-  persistent process pool / futures) behind ``@register_executor``,
+  persistent process pool) behind ``@register_executor``,
   per-point failure isolation, and streaming CSV/JSONL result sinks.
 * :mod:`repro.traffic` — traffic patterns: irregular (alltoallv-style)
   exchanges as registered (n, n) byte-matrix generators, usable across

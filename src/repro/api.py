@@ -39,6 +39,7 @@ from .models import (
     get_model,
 )
 from .placement import (
+    OptimizerSpec,
     PlacementResult,
     PlacementSpec,
     as_placement,
@@ -83,6 +84,7 @@ __all__ = [
     "as_pattern",
     "PlacementSpec",
     "as_placement",
+    "OptimizerSpec",
     "PlacementResult",
     "optimize_placement",
     "load_scenario",

@@ -193,50 +193,6 @@ _LIST_SECTIONS = {
 }
 
 
-def _parse_spec_arg(text: str, kind: str = "pattern"):
-    """``name`` or ``name:k=v,k2=v2`` → a ``{"name", "params"}`` dict.
-
-    The shared grammar of ``--pattern`` and ``--placement`` (and the
-    ``--optimizer`` of ``optimize-placement``).  Values parse as int,
-    then float, then the booleans, else string —
-    ``hotspot:targets=2,factor=8`` or ``round-robin:groups=4``.
-    """
-    name, _, param_part = text.partition(":")
-    params = {}
-    for item in param_part.split(","):
-        if not item.strip():
-            continue
-        key, sep, raw = item.partition("=")
-        if not sep or not key.strip():
-            raise ValueError(
-                f"bad {kind} parameter {item!r} (expected key=value)"
-            )
-        raw = raw.strip()
-        value: object
-        if raw.lower() in ("true", "false"):
-            value = raw.lower() == "true"
-        else:
-            try:
-                value = int(raw)
-            except ValueError:
-                try:
-                    value = float(raw)
-                except ValueError:
-                    value = raw
-        params[key.strip()] = value
-    return {"name": name.strip(), "params": params}
-
-
-def _parse_pattern_arg(text: str):
-    """``--pattern`` value → a pattern dict for SweepSpec."""
-    return _parse_spec_arg(text, "pattern")
-
-
-def _parse_placement_arg(text: str):
-    """``--placement`` value → a placement dict for the spec layer."""
-    return _parse_spec_arg(text, "placement")
-
-
 def _cmd_list(args: argparse.Namespace) -> int:
     # Sections print alphabetically, not in dict-insertion order, so
     # the full listing is deterministic and diffs cleanly as new
@@ -272,25 +228,6 @@ def _check_engine(name: "str | None") -> bool:
     return True
 
 
-def _check_placements(values) -> bool:
-    """Validate ``--placement`` strategy names before anything runs.
-
-    Same rationale as :func:`_check_engine`: parameter errors still
-    surface downstream, but an unknown *name* should be a one-line
-    stderr message with exit code 2, not a mid-pipeline failure.
-    """
-    for text in values or ():
-        name = text.partition(":")[0].strip()
-        if name not in api.PLACEMENTS:
-            known = ", ".join(api.list_placements())
-            print(
-                f"unknown placement {name!r}; known: {known}",
-                file=sys.stderr,
-            )
-            return False
-    return True
-
-
 def _with_engine(scenario: "api.Scenario", engine: str) -> "api.Scenario":
     """The scenario with its engine field overridden from the CLI."""
     import dataclasses
@@ -298,18 +235,11 @@ def _with_engine(scenario: "api.Scenario", engine: str) -> "api.Scenario":
     return api.Scenario(dataclasses.replace(scenario.spec, engine=engine))
 
 
-def _with_placement(scenario: "api.Scenario", text: str) -> "api.Scenario":
-    """The scenario with its placement overridden from ``--placement``.
-
-    Raises :class:`ValueError` (which :class:`ScenarioError` subclasses)
-    on bad grammar or strategy parameters; callers turn that into
-    exit code 2.
-    """
+def _with_placement(scenario: "api.Scenario", placement) -> "api.Scenario":
+    """The scenario with its placement overridden from ``--placement``."""
     import dataclasses
 
-    from .placement import as_placement
-
-    spec = as_placement(_parse_placement_arg(text))
+    spec = api.as_placement(placement)
     return api.Scenario(dataclasses.replace(scenario.spec, placement=spec))
 
 
@@ -411,10 +341,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return 2
     if not _check_engine(args.engine):
         return 2
-    if args.placement and not _check_placements([args.placement]):
-        return 2
+    placement = None
+    if args.placement:
+        try:
+            placement = api.PlacementSpec.parse(args.placement)
+        except ScenarioError as exc:
+            print(f"invalid --placement: {exc}", file=sys.stderr)
+            return 2
     if args.scenario:
-        return _run_scenario(args)
+        return _run_scenario(args, placement)
     if args.placement:
         # Experiments fix their own rank mappings (table_placement
         # sweeps them internally); only scenario runs take the override.
@@ -441,19 +376,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_scenario(args: argparse.Namespace) -> int:
+def _run_scenario(args: argparse.Namespace, placement) -> int:
     """Sweep a scenario file's workload grid, then fit its signature."""
     scenario = _load_scenario(args.scenario)
     if scenario is None:
         return 2
     if args.engine:
         scenario = _with_engine(scenario, args.engine)
-    if args.placement:
-        try:
-            scenario = _with_placement(scenario, args.placement)
-        except ValueError as exc:  # covers ScenarioError
-            print(f"invalid --placement: {exc}", file=sys.stderr)
-            return 2
+    if placement is not None:
+        scenario = _with_placement(scenario, placement)
     print(f"scenario  : {scenario.describe()}")
     _ledger_note(scenario=args.scenario, scenario_key=_scenario_key(scenario))
     try:
@@ -551,44 +482,34 @@ def _cmd_optimize_placement(args: argparse.Namespace) -> int:
     except (OSError, UnknownNameError, ScenarioError) as exc:
         print(exc, file=sys.stderr)
         return 2
-    optimizer = _parse_spec_arg(args.optimizer, "optimizer")
-    if optimizer["name"] not in api.PLACEMENT_OPTIMIZERS:
-        known = ", ".join(api.list_placement_optimizers())
+    try:
+        optimizer = api.OptimizerSpec.parse(args.optimizer)
+    except ScenarioError as exc:
+        # Unknown names print as-is ("unknown placement optimizer ...").
+        unknown_name = isinstance(exc.__cause__, UnknownNameError)
         print(
-            f"unknown placement optimizer {optimizer['name']!r}; "
-            f"known: {known}",
+            exc if unknown_name else f"invalid optimizer parameters: {exc}",
             file=sys.stderr,
         )
         return 2
-    pattern = None
-    if args.pattern:
-        if args.pattern.partition(":")[0].strip() not in api.PATTERNS:
-            known = ", ".join(api.list_patterns())
-            print(
-                f"unknown pattern {args.pattern.partition(':')[0]!r}; "
-                f"known: {known}",
-                file=sys.stderr,
-            )
-            return 2
-        pattern = _parse_pattern_arg(args.pattern)
+    try:
+        pattern = api.PatternSpec.parse(args.pattern) if args.pattern else None
+    except ScenarioError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     _ledger_note(
-        cluster=scenario.name, optimizer=optimizer["name"],
+        cluster=scenario.name, optimizer=optimizer.name,
         scenario_key=_scenario_key(scenario),
     )
     try:
         result = scenario.optimize_placement(
             args.nprocs,
             parse_size(args.size) if args.size is not None else None,
-            optimizer=optimizer["name"],
+            optimizer=optimizer.name,
             seed=args.seed,
-            params=optimizer["params"] or None,
+            params=dict(optimizer.params),
             pattern=pattern,
         )
-    except TypeError as exc:
-        # e.g. greedy:iterations=10 — a parameter the optimizer's
-        # signature does not accept.
-        print(f"invalid optimizer parameters: {exc}", file=sys.stderr)
-        return 2
     except (MeasurementError, ScenarioError, SimulationError, ValueError) as exc:
         print(f"cannot optimize placement: {exc}", file=sys.stderr)
         return 1
@@ -928,8 +849,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     if not _check_engine(args.engine):
         return 2
-    if not _check_placements(args.placement):
-        return 2
     if args.heartbeat is not None and args.heartbeat <= 0:
         print(
             "invalid sweep options: --heartbeat must be positive",
@@ -1005,12 +924,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             ),
             algorithms=tuple(_csv_list(args.algorithms or "direct")),
             patterns=(
-                tuple(_parse_pattern_arg(p) for p in args.pattern)
+                tuple(api.PatternSpec.parse(p) for p in args.pattern)
                 if args.pattern
                 else (None,)
             ),
             placements=(
-                tuple(_parse_placement_arg(p) for p in args.placement)
+                tuple(api.PlacementSpec.parse(p) for p in args.placement)
                 if args.placement
                 else (None,)
             ),
@@ -1344,7 +1263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--executor", default=None, metavar="NAME",
         help="execution backend for cache-missed points: serial, process "
-             "(persistent warm worker pool, reused across runs), futures, "
+             "(persistent warm worker pool, reused across runs) "
              "or a user-registered executor (default: process when "
              "--workers > 1, else serial; see `list executors`)",
     )

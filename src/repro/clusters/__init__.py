@@ -1,7 +1,6 @@
 """Calibrated virtual-cluster profiles standing in for Grid'5000."""
 
 from .profiles import (
-    CLUSTERS,
     ClusterProfile,
     PaperSignature,
     fast_ethernet,
@@ -11,7 +10,6 @@ from .profiles import (
 )
 
 __all__ = [
-    "CLUSTERS",
     "ClusterProfile",
     "PaperSignature",
     "fast_ethernet",

@@ -10,7 +10,7 @@ path with three small, separately-testable pieces:
 * :mod:`~repro.exec.executors` — the :class:`Executor` protocol behind
   the ``@register_executor`` registry, with built-ins ``serial``,
   ``process`` (persistent warm pool + chunked ``imap_unordered``
-  streaming) and ``futures``;
+  streaming; ``futures`` is an alias);
 * :mod:`~repro.exec.sinks` — streaming :class:`ResultSink` targets
   (incremental CSV/JSONL append, callbacks) fed one row per point as
   it lands, keeping arbitrarily large sweeps in bounded memory.
@@ -23,7 +23,6 @@ can never change a sample — only how fast it arrives.
 
 from .executors import (
     Executor,
-    FuturesExecutor,
     ProcessExecutor,
     SerialExecutor,
     get_executor,
@@ -42,7 +41,6 @@ __all__ = [
     "Executor",
     "SerialExecutor",
     "ProcessExecutor",
-    "FuturesExecutor",
     "get_executor",
     "ExecutionTask",
     "TaskOutcome",

@@ -11,8 +11,7 @@ complete** (any order; the runner reassembles by index).  Built-ins:
   warm workers instead of re-forking (the dominant cost of short
   sweeps).  It is recycled automatically when the plugin registries
   change, so forked workers never run with a stale plugin view.
-* ``futures`` — the same fan-out on ``concurrent.futures``
-  (``ProcessPoolExecutor``), for environments that prefer that stack.
+  ``futures`` and ``concurrent-futures`` are aliases of it.
 
 Register additional executors (SLURM, async, …) with
 :func:`repro.registry.register_executor`::
@@ -32,7 +31,6 @@ from __future__ import annotations
 
 import atexit
 import multiprocessing
-from concurrent import futures as _cf
 from typing import Iterable, Iterator, Sequence
 
 from ..registry import EXECUTORS, register_executor, registry_epoch
@@ -43,7 +41,6 @@ __all__ = [
     "Executor",
     "SerialExecutor",
     "ProcessExecutor",
-    "FuturesExecutor",
     "get_executor",
 ]
 
@@ -91,8 +88,8 @@ class SerialExecutor(Executor):
             yield _task.run_task(task)
 
 
-class _PooledExecutor(Executor):
-    """Shared lifecycle for executors holding a persistent worker pool.
+class ProcessExecutor(Executor):
+    """Persistent ``multiprocessing.Pool`` streaming ``imap_unordered``.
 
     The pool is created lazily on first ``run`` and **reused** across
     calls — a runner doing many consecutive ``run_points`` batches pays
@@ -101,10 +98,17 @@ class _PooledExecutor(Executor):
     resolve a stale registry view), and an ``atexit`` hook — registered
     only while a pool is live, unregistered on :meth:`close` so closed
     executors are not pinned in memory — reaps leftovers at interpreter
-    exit.  Subclasses supply :meth:`_make_pool` / :meth:`_shutdown_pool`
-    and ``run``.
+    exit.
+
+    Chunked submission amortises IPC: with *k* tasks and *w* workers,
+    chunks of ``max(1, k // (4 w))`` keep the pool busy while bounding
+    the tail latency of the final chunk.  Results stream back as
+    workers finish, so the runner can append to sinks and fill the
+    cache while later points are still simulating — memory stays
+    bounded by the in-flight window, not the sweep size.
     """
 
+    name = "process"
     distributed = True
 
     def __init__(self, workers: int) -> None:
@@ -119,6 +123,11 @@ class _PooledExecutor(Executor):
         """Whether a live pool is ready for reuse."""
         return self._pool is not None
 
+    @staticmethod
+    def chunksize(n_tasks: int, workers: int) -> int:
+        """Batched-streaming chunk size (4 waves per worker)."""
+        return max(1, n_tasks // (workers * 4))
+
     def _ensure_pool(self):
         epoch = registry_epoch()
         if self._pool is not None and epoch != self._epoch:
@@ -126,48 +135,17 @@ class _PooledExecutor(Executor):
             # stale pool would resolve yesterday's registry view.
             self.close()
         if self._pool is None:
-            self._pool = self._make_pool()
+            self._pool = multiprocessing.Pool(self.workers)
             self._epoch = epoch
             atexit.register(self.close)
         return self._pool
 
     def close(self) -> None:
         if self._pool is not None:
-            self._shutdown_pool(self._pool)
+            self._pool.terminate()
+            self._pool.join()
             self._pool = None
             atexit.unregister(self.close)
-
-    def _make_pool(self):
-        raise NotImplementedError
-
-    def _shutdown_pool(self, pool) -> None:
-        raise NotImplementedError
-
-
-class ProcessExecutor(_PooledExecutor):
-    """Persistent ``multiprocessing.Pool`` streaming ``imap_unordered``.
-
-    Chunked submission amortises IPC: with *k* tasks and *w* workers,
-    chunks of ``max(1, k // (4 w))`` keep the pool busy while bounding
-    the tail latency of the final chunk.  Results stream back as
-    workers finish, so the runner can append to sinks and fill the
-    cache while later points are still simulating — memory stays
-    bounded by the in-flight window, not the sweep size.
-    """
-
-    name = "process"
-
-    @staticmethod
-    def chunksize(n_tasks: int, workers: int) -> int:
-        """Batched-streaming chunk size (4 waves per worker)."""
-        return max(1, n_tasks // (workers * 4))
-
-    def _make_pool(self):
-        return multiprocessing.Pool(self.workers)
-
-    def _shutdown_pool(self, pool) -> None:
-        pool.terminate()
-        pool.join()
 
     def run(self, tasks: Sequence[ExecutionTask]) -> Iterator[TaskOutcome]:
         pool = self._ensure_pool()
@@ -176,47 +154,19 @@ class ProcessExecutor(_PooledExecutor):
         )
 
 
-class FuturesExecutor(_PooledExecutor):
-    """``concurrent.futures.ProcessPoolExecutor`` fan-out.
-
-    Same persistence and registry-epoch recycling as
-    :class:`ProcessExecutor`; submission is per-task (no chunking), so
-    prefer ``process`` for very large sweeps and ``futures`` where the
-    ``concurrent.futures`` ecosystem (custom pools, instrumentation)
-    matters more than peak submission throughput.
-    """
-
-    name = "futures"
-
-    def _make_pool(self):
-        return _cf.ProcessPoolExecutor(max_workers=self.workers)
-
-    def _shutdown_pool(self, pool) -> None:
-        pool.shutdown()
-
-    def run(self, tasks: Sequence[ExecutionTask]) -> Iterator[TaskOutcome]:
-        pool = self._ensure_pool()
-        pending = [pool.submit(_task.run_task, task) for task in tasks]
-        for future in _cf.as_completed(pending):
-            yield future.result()
-
-
 @register_executor("serial", aliases=("inline", "sync"))
 def _make_serial(workers: int = 1) -> SerialExecutor:
     """In-process execution; ``workers`` is accepted for uniformity."""
     return SerialExecutor()
 
 
-@register_executor("process", aliases=("pool", "multiprocessing"))
+@register_executor(
+    "process",
+    aliases=("pool", "multiprocessing", "futures", "concurrent-futures"),
+)
 def _make_process(workers: int = 1) -> ProcessExecutor:
     """Persistent multiprocessing pool with chunked unordered streaming."""
     return ProcessExecutor(workers)
-
-
-@register_executor("futures", aliases=("concurrent-futures",))
-def _make_futures(workers: int = 1) -> FuturesExecutor:
-    """concurrent.futures process pool."""
-    return FuturesExecutor(workers)
 
 
 def get_executor(kind: str, workers: int = 1) -> Executor:

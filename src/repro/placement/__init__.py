@@ -33,7 +33,7 @@ from .objective import (
     route_incidence,
     traffic_matrix,
 )
-from .optimize import PlacementResult, optimize_placement
+from .optimize import OptimizerSpec, PlacementResult, optimize_placement
 from .placed import PlacedTopology, apply_placement
 from .spec import PlacementSpec, as_placement
 
@@ -47,6 +47,7 @@ __all__ = [
     "placed_matrix",
     "route_incidence",
     "traffic_matrix",
+    "OptimizerSpec",
     "PlacementResult",
     "optimize_placement",
 ]

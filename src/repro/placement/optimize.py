@@ -23,13 +23,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..registry import PLACEMENT_OPTIMIZERS, register_placement_optimizer
+from ..registry import (
+    PLACEMENT_OPTIMIZERS,
+    RegisteredSpec,
+    register_placement_optimizer,
+)
 from ..simnet.rng import RngFactory
 from ..simnet.topology import Topology
 from .objective import PlacementObjective, traffic_matrix
 from .spec import PlacementSpec
 
-__all__ = ["PlacementResult", "optimize_placement", "greedy", "anneal"]
+__all__ = [
+    "OptimizerSpec", "PlacementResult", "optimize_placement", "greedy", "anneal",
+]
 
 #: Strict-improvement margin: a swap must beat the incumbent by more
 #: than this relative slack to be kept, so float noise cannot cycle.
@@ -97,6 +103,18 @@ def anneal(
 
 
 @dataclass(frozen=True)
+class OptimizerSpec(RegisteredSpec):
+    """A registered placement optimizer plus its parameters
+    (``greedy:max_rounds=8``), checked against its signature."""
+
+    registry = PLACEMENT_OPTIMIZERS
+    noun = "placement optimizer"
+    leading = 2
+
+    name: str = "greedy"
+
+
+@dataclass(frozen=True)
 class PlacementResult:
     """Outcome of a placement search (all objectives in predicted seconds)."""
 
@@ -150,7 +168,10 @@ def optimize_placement(
     :class:`~repro.traffic.spec.PatternSpec` or ``None`` for uniform)
     at (n, msg_size, seed) — routed over the fabric; see
     :mod:`repro.placement.objective`.  Deterministic given *seed*.
+    Unknown *optimizer* names and *params* it does not accept raise
+    :class:`~repro.exceptions.ScenarioError` before any search.
     """
+    spec = OptimizerSpec(optimizer, params or {})
     n = int(n_processes)
     topo = cluster if isinstance(cluster, (Topology,)) else cluster.topology(n)
     W = traffic_matrix(n, int(msg_size), pattern, seed=seed)
@@ -162,10 +183,9 @@ def optimize_placement(
         evaluations += 1
         return score(perm)
 
-    name = PLACEMENT_OPTIMIZERS.canonical(optimizer)
-    search = PLACEMENT_OPTIMIZERS.get(name)
-    rng = RngFactory(int(seed)).stream(f"placement/{name}/{n}")
-    perm = tuple(search(evaluate, n, rng=rng, **dict(params or {})))
+    search = PLACEMENT_OPTIMIZERS.get(spec.name)
+    rng = RngFactory(int(seed)).stream(f"placement/{spec.name}/{n}")
+    perm = tuple(search(evaluate, n, rng=rng, **dict(spec.params)))
     identity_objective = score(None)
     objective = score(perm)
     if objective > identity_objective:  # pragma: no cover - optimizer bug guard
@@ -175,7 +195,7 @@ def optimize_placement(
         permutation=perm,
         objective=objective,
         identity_objective=identity_objective,
-        optimizer=name,
+        optimizer=spec.name,
         seed=int(seed),
         evaluations=evaluations,
     )

@@ -17,48 +17,41 @@ cache keys and results stay byte-identical.
 
 from __future__ import annotations
 
-import inspect
-from dataclasses import dataclass, field
+import numbers
+from collections.abc import Mapping
+from dataclasses import dataclass
 
-from ..exceptions import ScenarioError, UnknownNameError
-from ..registry import PLACEMENTS
+from ..exceptions import ScenarioError
+from ..registry import PLACEMENTS, RegisteredSpec
 
 __all__ = ["PlacementSpec", "as_placement"]
-
-_PARAM_TYPES = (int, float, str, bool)
 
 #: Strategy name reserved for explicit permutations; never in the registry.
 EXPLICIT = "explicit"
 
 
-def _canonical_value(key, value):
-    """One canonical spelling per parameter value (mirrors PatternSpec).
-
-    ``4`` and ``4.0`` must be the *same* parameter — same key(), same
-    cache payload — whether they arrived from TOML, the CLI or Python,
-    so integral floats collapse to ints.  Bools stay bools (checked
-    first: bool is an int subclass).
-    """
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, _PARAM_TYPES):
-        return value
-    raise ScenarioError(
-        f"placement param {key!r} must be a scalar "
-        f"(int/float/str/bool), got {type(value).__name__}"
-    )
-
-
 def _validate_permutation(perm) -> tuple[int, ...]:
-    """Coerce *perm* to a tuple of ints and check it permutes ``range(n)``."""
-    try:
-        out = tuple(int(x) for x in perm)
-    except (TypeError, ValueError):
+    """Coerce *perm* to a tuple of ints and check it permutes ``range(n)``.
+
+    Entries must be integers; integral floats (TOML/JSON ``1.0``) pass,
+    like integral float params.  Strings and bools are rejected rather
+    than read digit by digit or as 0/1.
+    """
+    if isinstance(perm, (str, bytes)) or not hasattr(perm, "__iter__"):
         raise ScenarioError(
-            f"placement permutation must be a sequence of ints, got {perm!r}"
-        ) from None
+            f"placement perm must be a sequence of ints, got {perm!r}"
+        )
+    entries = list(perm)
+    for x in entries:
+        if (
+            isinstance(x, bool)
+            or not isinstance(x, numbers.Real)
+            or not float(x).is_integer()
+        ):
+            raise ScenarioError(
+                f"placement perm entries must be ints, got {x!r} in {perm!r}"
+            )
+    out = tuple(int(x) for x in entries)
     if sorted(out) != list(range(len(out))):
         raise ScenarioError(
             f"placement permutation must rearrange 0..{len(out) - 1} "
@@ -68,84 +61,32 @@ def _validate_permutation(perm) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class PlacementSpec:
+class PlacementSpec(RegisteredSpec):
     """A rank→host mapping: registered strategy + params, or explicit.
 
-    ``params`` accepts a dict at construction and is canonicalised to a
-    sorted tuple of ``(key, value)`` pairs, so specs are hashable and
-    two spellings of the same placement compare (and cache) equal.  An
-    explicit permutation is carried in ``perm`` (the strategy name is
-    then the reserved ``"explicit"``) and is only valid at its own n.
+    Strategies are called ``f(n_processes, **params)``; naming,
+    parameter canonicalisation and serialisation live in
+    :class:`~repro.registry.RegisteredSpec`.  An explicit permutation
+    is carried in ``perm`` (the strategy name is then the reserved
+    ``"explicit"``) and is only valid at its own n.
     """
 
+    registry = PLACEMENTS
+    noun = "placement"
+    leading = 1
+
     name: str = "identity"
-    params: tuple = field(default_factory=tuple)
     perm: tuple | None = None
 
     def __post_init__(self) -> None:
-        if self.perm is not None:
-            if self.params:
-                raise ScenarioError(
-                    "an explicit placement permutation takes no params"
-                )
-            object.__setattr__(self, "perm", _validate_permutation(self.perm))
-            object.__setattr__(self, "name", EXPLICIT)
-            object.__setattr__(self, "params", ())
+        if self.perm is None:
+            super().__post_init__()
             return
-        try:
-            object.__setattr__(self, "name", PLACEMENTS.canonical(self.name))
-        except UnknownNameError as exc:
-            raise ScenarioError(exc.args[0]) from None
-        raw = self.params
-        if isinstance(raw, dict):
-            raw = tuple(raw.items())
-        try:
-            pairs = tuple(
-                sorted((str(k), _canonical_value(k, v)) for k, v in raw)
-            )
-        except (TypeError, ValueError) as exc:
-            if isinstance(exc, ScenarioError):
-                raise
-            raise ScenarioError(
-                f"placement params must be a mapping, got {self.params!r}"
-            ) from None
-        object.__setattr__(self, "params", pairs)
-        self._check_strategy_accepts(pairs)
-
-    def _check_strategy_accepts(self, pairs: tuple) -> None:
-        """Fail at spec-construction time, not mid-sweep in a worker."""
-        signature = inspect.signature(PLACEMENTS.get(self.name))
-        accepts_kwargs = any(
-            p.kind is inspect.Parameter.VAR_KEYWORD
-            for p in signature.parameters.values()
-        )
-        if accepts_kwargs:
-            return
-        # Parameters reachable as keywords: keyword-only ones plus any
-        # positional-or-keyword beyond the leading n_processes — user
-        # strategies need not use a `*` separator.
-        positional = [
-            p.name for p in signature.parameters.values()
-            if p.kind in (
-                inspect.Parameter.POSITIONAL_ONLY,
-                inspect.Parameter.POSITIONAL_OR_KEYWORD,
-            )
-        ]
-        known = {
-            p.name for p in signature.parameters.values()
-            if p.kind in (
-                inspect.Parameter.KEYWORD_ONLY,
-                inspect.Parameter.POSITIONAL_OR_KEYWORD,
-            )
-        } - set(positional[:1])
-        unknown = sorted(key for key, _ in pairs if key not in known)
-        if unknown:
-            raise ScenarioError(
-                f"unknown param(s) {unknown} for placement {self.name!r}; "
-                f"known: {', '.join(sorted(known)) or '(none)'}"
-            )
-
-    # -- queries ---------------------------------------------------------
+        if self.params:
+            raise ScenarioError("an explicit placement permutation takes no params")
+        object.__setattr__(self, "perm", _validate_permutation(self.perm))
+        object.__setattr__(self, "name", EXPLICIT)
+        object.__setattr__(self, "params", ())
 
     @property
     def is_explicit(self) -> bool:
@@ -153,7 +94,7 @@ class PlacementSpec:
         return self.perm is not None
 
     @property
-    def is_identity(self) -> bool:
+    def is_default(self) -> bool:
         """Whether this spec is the do-nothing rank→host mapping.
 
         Identity is special-cased everywhere: it follows the legacy
@@ -163,23 +104,15 @@ class PlacementSpec:
         """
         if self.perm is not None:
             return self.perm == tuple(range(len(self.perm)))
-        return self.name == "identity" and not self.params
+        return super().is_default
+
+    is_identity = is_default
 
     def key(self) -> str:
-        """Canonical compact form, e.g. ``round-robin(groups=4)``.
-
-        Used in row columns and log labels; parameter order (and the
-        one-spelling-per-value rule — ``4.0`` renders as ``4``) is the
-        canonical form ``__post_init__`` established.  Explicit
-        permutations render as ``explicit[2,0,1,...]``.
-        """
+        """``round-robin(groups=4)``, or ``explicit[2,0,1,...]``."""
         if self.perm is not None:
             return f"{EXPLICIT}[{','.join(str(p) for p in self.perm)}]"
-        if not self.params:
-            return self.name
-        inner = ",".join(f"{k}={v!r}" if isinstance(v, str) else f"{k}={v}"
-                         for k, v in self.params)
-        return f"{self.name}({inner})"
+        return super().key()
 
     # -- permutation construction ----------------------------------------
 
@@ -210,63 +143,31 @@ class PlacementSpec:
             )
         return out
 
-    # -- serialization ---------------------------------------------------
-
     def to_dict(self) -> dict:
         if self.perm is not None:
             return {"perm": list(self.perm)}
-        out: dict = {"name": self.name}
-        if self.params:
-            out["params"] = dict(self.params)
-        return out
+        return super().to_dict()
+
+    def cache_payload(self) -> dict:
+        if self.perm is not None:
+            return {"perm": list(self.perm)}
+        return super().cache_payload()
 
     @classmethod
     def from_dict(cls, data) -> "PlacementSpec":
-        if isinstance(data, str):
-            return cls(name=data)
+        """A spec from a name, a permutation list, or a table/dict."""
         if isinstance(data, (list, tuple)):
-            return cls(perm=tuple(data))
-        if not isinstance(data, dict):
-            raise ScenarioError(
-                "placement must be a name, a permutation list, or a table/dict"
-            )
-        unknown = sorted(set(data) - {"name", "params", "perm"})
-        if unknown:
-            raise ScenarioError(
-                f"unknown placement field(s) {unknown}; known: name, params, perm"
-            )
-        if "perm" in data:
+            data = {"perm": data}
+        if isinstance(data, Mapping) and "perm" in data:
             if "name" in data or "params" in data:
                 raise ScenarioError(
                     "placement takes either perm or name/params, not both"
                 )
-            return cls(perm=tuple(data["perm"]))
-        return cls(
-            name=str(data.get("name", "identity")),
-            params=dict(data.get("params", {})),
-        )
-
-    def cache_payload(self) -> dict:
-        """JSON-stable identity for sweep cache keys (same as to_dict)."""
-        if self.perm is not None:
-            return {"perm": list(self.perm)}
-        return {"name": self.name, "params": dict(self.params)}
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.key()
+            # Validated here: ``perm = None`` must not read as "no perm".
+            data = {**data, "perm": _validate_permutation(data["perm"])}
+        return super().from_dict(data)
 
 
-def as_placement(value) -> "PlacementSpec | None":
-    """Coerce a name/dict/perm/spec to a :class:`PlacementSpec` (``None`` passes).
-
-    The identity spec is collapsed to ``None`` — the legacy no-placement
-    path — so ``identity`` and "no placement" are one identity everywhere
-    downstream (same routes, same cache keys).
-    """
-    if value is None:
-        return None
-    if isinstance(value, PlacementSpec):
-        spec = value
-    else:
-        spec = PlacementSpec.from_dict(value)
-    return None if spec.is_identity else spec
+#: Name/dict/perm/spec → :class:`PlacementSpec`, with identity (and
+#: ``None``) collapsed to ``None``: the legacy no-placement path.
+as_placement = PlacementSpec.coerce

@@ -18,25 +18,26 @@ Lookups are *normalised*: case is folded and ``_``/space collapse to
 ``fast-ethernet`` entry.  Explicit aliases resolve too, but enumeration
 (:meth:`Registry.names`) lists canonical names only.
 
-The five process-wide registries live here (:data:`TOPOLOGIES`,
-:data:`CLUSTERS`, :data:`ALGORITHMS`, :data:`BACKENDS`,
-:data:`PATTERNS`); the legacy
-module-level dicts (``repro.clusters.profiles.CLUSTERS``,
-``repro.simmpi.collectives.ALGORITHMS``) remain importable as
-:class:`DeprecatedMapping` views that warn on access.
+The process-wide registries live here (:data:`TOPOLOGIES`,
+:data:`CLUSTERS`, :data:`ALGORITHMS`, :data:`PATTERNS`, ...).  A
+reference to an entry plus keyword parameters — ``hotspot:targets=2``
+on the command line, ``{name = "round-robin", params = {groups = 4}}``
+in a scenario file — is a :class:`RegisteredSpec`.
 """
 
 from __future__ import annotations
 
-import warnings
+import inspect
+import math
 from collections.abc import Iterator, Mapping
-from typing import Callable, Generic, TypeVar
+from dataclasses import dataclass, fields
+from typing import Callable, ClassVar, Generic, TypeVar
 
-from .exceptions import DuplicateNameError, UnknownNameError
+from .exceptions import DuplicateNameError, ScenarioError, UnknownNameError
 
 __all__ = [
     "Registry",
-    "DeprecatedMapping",
+    "RegisteredSpec",
     "normalize_name",
     "registry_epoch",
     "TOPOLOGIES",
@@ -184,48 +185,186 @@ class Registry(Generic[T]):
         return f"Registry({self.kind!r}, {self.names()})"
 
 
-class DeprecatedMapping(Mapping):
-    """Read-only dict facade over a :class:`Registry` that warns on use.
+@dataclass(frozen=True)
+class RegisteredSpec:
+    """A registry entry plus keyword parameters, in one canonical form.
 
-    Keeps ``CLUSTERS["myrinet"]``, ``sorted(ALGORITHMS)`` and
-    ``name in CLUSTERS`` working for pre-registry call sites while
-    steering them to the registry API.
+    The value behind every ``NAME[:k=v,...]`` command-line flag and every
+    ``{name, params}`` file field.  Subclasses set three class
+    attributes — the :attr:`registry` the name resolves in, the
+    :attr:`noun` used in error messages, and how many :attr:`leading`
+    positional arguments the caller supplies to the entry — and give
+    ``name`` a default: the default entry without parameters is the one
+    :meth:`coerce` collapses to ``None``.  ``rng`` is never a user
+    parameter.
+
+    ``params`` accepts a mapping and is stored as a sorted tuple of
+    ``(key, value)`` pairs, so equal specs compare, hash, render
+    (:meth:`key`) and cache (:meth:`cache_payload`) identically however
+    they were spelled.  Unknown names and parameters the entry's
+    signature does not accept fail at construction, not mid-sweep in a
+    worker.
     """
 
-    def __init__(self, registry: Registry, old_name: str, new_name: str) -> None:
-        self._registry = registry
-        self._old = old_name
-        self._new = new_name
+    name: str = ""
+    params: tuple = ()
 
-    def _warn(self) -> None:
-        warnings.warn(
-            f"{self._old} is deprecated; use {self._new} instead",
-            DeprecationWarning,
-            stacklevel=3,
+    registry: ClassVar[Registry]
+    noun: ClassVar[str]
+    leading: ClassVar[int]
+
+    def __post_init__(self) -> None:
+        try:
+            object.__setattr__(self, "name", self.registry.canonical(self.name))
+        except UnknownNameError as exc:
+            raise ScenarioError(exc.args[0]) from exc
+        raw = self.params
+        if isinstance(raw, tuple) and all(
+            isinstance(pair, tuple) and len(pair) == 2 for pair in raw
+        ):
+            raw = dict(raw)  # the stored form (e.g. via dataclasses.replace)
+        if not isinstance(raw, Mapping):
+            raise ScenarioError(
+                f"{self.noun} params must be a mapping, got {self.params!r}"
+            )
+        pairs = tuple(
+            sorted((str(k), self._canonical_value(k, v)) for k, v in raw.items())
+        )
+        object.__setattr__(self, "params", pairs)
+        self._check_params()
+
+    def _canonical_value(self, key, value):
+        """One spelling per parameter value.
+
+        ``8`` and ``8.0`` must be the *same* parameter — same key(), same
+        RNG stream, same cache payload — whether they arrived from TOML,
+        the CLI or Python, so integral floats collapse to ints.  Bools
+        stay bools (checked first: bool is an int subclass).
+        """
+        if isinstance(value, bool):
+            return value
+        if isinstance(value, float):
+            if not math.isfinite(value):
+                raise ScenarioError(
+                    f"{self.noun} param {key!r} must be finite, got {value!r}"
+                )
+            return int(value) if value.is_integer() else value
+        if isinstance(value, (int, str)):
+            return value
+        raise ScenarioError(
+            f"{self.noun} param {key!r} must be a scalar "
+            f"(int/float/str/bool), got {type(value).__name__}"
         )
 
-    def __getitem__(self, key: str):
-        self._warn()
-        try:
-            return self._registry.get(key)
-        except UnknownNameError as exc:
-            raise KeyError(exc.args[0]) from None
+    def _check_params(self) -> None:
+        parameters = inspect.signature(self.registry.get(self.name)).parameters.values()
+        if any(p.kind is p.VAR_KEYWORD for p in parameters):
+            return
+        # Keyword-reachable parameters past the caller's leading
+        # positional ones: plugins need not use a `*` separator.
+        positional = [
+            p.name for p in parameters
+            if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
+        ]
+        known = {
+            p.name for p in parameters
+            if p.kind in (p.KEYWORD_ONLY, p.POSITIONAL_OR_KEYWORD)
+        } - {*positional[: self.leading], "rng"}
+        unknown = sorted(key for key, _ in self.params if key not in known)
+        if unknown:
+            raise ScenarioError(
+                f"unknown param(s) {unknown} for {self.noun} {self.name!r}; "
+                f"known: {', '.join(sorted(known)) or '(none)'}"
+            )
 
-    def __iter__(self) -> Iterator[str]:
-        self._warn()
-        return iter(self._registry.names())
+    @property
+    def is_default(self) -> bool:
+        """Whether this is the default entry (``name``'s default) without params."""
+        return self.name == self.__dataclass_fields__["name"].default and not self.params
 
-    def __len__(self) -> int:
-        self._warn()
-        return len(self._registry)
+    def key(self) -> str:
+        """Canonical compact form, e.g. ``hotspot(factor=8,targets=2)``.
 
-    def __contains__(self, key: object) -> bool:
-        self._warn()
-        return key in self._registry
+        Used in RNG stream names, row columns and log labels; ``8.0``
+        renders as ``8`` and parameters are sorted.
+        """
+        if not self.params:
+            return self.name
+        inner = ",".join(f"{k}={v!r}" if isinstance(v, str) else f"{k}={v}"
+                         for k, v in self.params)
+        return f"{self.name}({inner})"
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"DeprecatedMapping({self._old} -> {self._new})"
+    def to_dict(self) -> dict:
+        out: dict = {"name": self.name}
+        if self.params:
+            out["params"] = dict(self.params)
+        return out
 
+    def cache_payload(self) -> dict:
+        """JSON-stable identity for sweep cache keys (``params`` always present)."""
+        return {"name": self.name, "params": dict(self.params)}
+
+    @classmethod
+    def from_dict(cls, data):
+        """A spec from a bare name or a table of the dataclass fields."""
+        if isinstance(data, str):
+            return cls(name=data)
+        if not isinstance(data, Mapping):
+            raise ScenarioError(f"{cls.noun} must be a name or a table/dict")
+        known = [f.name for f in fields(cls)]
+        unknown = sorted(set(data) - set(known))
+        if unknown:
+            raise ScenarioError(
+                f"unknown {cls.noun} field(s) {unknown}; known: {', '.join(known)}"
+            )
+        return cls(**data)
+
+    @classmethod
+    def parse(cls, text: str):
+        """A spec from the command-line form ``name`` or ``name:k=v,k2=v2``.
+
+        Values parse as int, then float, then the booleans, else string:
+        ``hotspot:targets=2,factor=8`` or ``round-robin:groups=4``.
+        """
+        name, _, param_part = text.partition(":")
+        params: dict = {}
+        for item in param_part.split(","):
+            if not item.strip():
+                continue
+            key, sep, raw = item.partition("=")
+            if not sep or not key.strip():
+                raise ScenarioError(
+                    f"bad {cls.noun} parameter {item!r} (expected key=value)"
+                )
+            raw = raw.strip()
+            value: object
+            if raw.lower() in ("true", "false"):
+                value = raw.lower() == "true"
+            else:
+                try:
+                    value = int(raw)
+                except ValueError:
+                    try:
+                        value = float(raw)
+                    except ValueError:
+                        value = raw
+            params[key.strip()] = value
+        return cls(name=name.strip(), params=params)
+
+    @classmethod
+    def coerce(cls, value):
+        """A spec from a name/dict/spec, or ``None`` for the default entry.
+
+        The default entry and "no spec" are one identity everywhere
+        downstream: one simulation path, one cache key.
+        """
+        if value is None:
+            return None
+        spec = value if isinstance(value, cls) else cls.from_dict(value)
+        return None if spec.is_default else spec
+
+    def __str__(self) -> str:  # pragma: no cover - cosmetic
+        return self.key()
 
 # ----------------------------------------------------------------------
 # Process-wide registries.  Built-ins register at module import time

@@ -4,7 +4,6 @@ Replaces LAM-MPI/MPICH on the paper's clusters; see DESIGN.md §2.
 """
 
 from .collectives import (
-    ALGORITHMS,
     ALLTOALLV_VARIANTS,
     MATRIX_ALGORITHMS,
     alltoall_bruck,
@@ -20,7 +19,6 @@ from .runtime import RankContext, RankProgram, RunResult, Runtime
 from .transport import TransportParams
 
 __all__ = [
-    "ALGORITHMS",
     "ALLTOALLV_VARIANTS",
     "MATRIX_ALGORITHMS",
     "alltoall_bruck",

@@ -38,8 +38,7 @@ from typing import Any, Generator
 
 import numpy as np
 
-from ..registry import ALGORITHMS as _ALGORITHM_REGISTRY
-from ..registry import DeprecatedMapping, register_algorithm
+from ..registry import register_algorithm
 from .runtime import RankContext
 
 __all__ = [
@@ -52,7 +51,6 @@ __all__ = [
     "ALLTOALLV_VARIANTS",
     "MATRIX_ALGORITHMS",
     "variant_for",
-    "ALGORITHMS",
     "TAG_ALLTOALL",
 ]
 
@@ -244,11 +242,3 @@ def variant_for(algorithm: str, *, irregular: bool) -> str:
             f"(or {', '.join(sorted(MATRIX_ALGORITHMS))} directly)"
         )
     return variant
-
-
-#: Deprecated dict facade; the algorithm registry is the source of truth.
-ALGORITHMS = DeprecatedMapping(
-    _ALGORITHM_REGISTRY,
-    "repro.simmpi.collectives.ALGORITHMS",
-    "repro.registry.ALGORITHMS (or repro.api.list_algorithms())",
-)

@@ -37,7 +37,7 @@ from ..simnet.engine import Engine
 from ..simnet.fluid import Flow, FluidNetwork
 from ..simnet.loss import LossParams
 from ..simnet.penalty import HolPenalty
-from ..simnet.resources import SerialResource
+from ..simnet.resources import SenderScheduler, SerialResource
 from ..simnet.rng import RngFactory
 from ..simnet.stats import SimStats
 from ..simnet.topology import Topology
@@ -84,45 +84,6 @@ class _Envelope:
     tag: int
     nbytes: int
     message: _Message
-
-
-class _SenderScheduler:
-    """Per-host wire admission: pair-FIFO channels + concurrency cap."""
-
-    def __init__(self, runtime: "Runtime", host: int, concurrency: int | None) -> None:
-        self._runtime = runtime
-        self._host = host
-        self._limit = concurrency if concurrency is not None else math.inf
-        self._queue: deque[_Message] = deque()
-        self._busy_pairs: set[int] = set()
-        self._in_flight = 0
-
-    def submit(self, message: _Message) -> None:
-        self._queue.append(message)
-        self._pump()
-
-    def release(self, message: _Message) -> None:
-        self._in_flight -= 1
-        self._busy_pairs.discard(message.dst)
-        self._pump()
-
-    def _pump(self) -> None:
-        # Dispatch in FIFO order, skipping messages whose pair channel is
-        # busy (per-pair order is still preserved: only the head message
-        # of each pair can ever be eligible).
-        if not self._queue:
-            return
-        blocked: deque[_Message] = deque()
-        while self._queue and self._in_flight < self._limit:
-            message = self._queue.popleft()
-            if message.dst in self._busy_pairs:
-                blocked.append(message)
-                continue
-            self._busy_pairs.add(message.dst)
-            self._in_flight += 1
-            self._runtime._start_flow(message)
-        blocked.extend(self._queue)
-        self._queue = blocked
 
 
 @dataclass
@@ -260,8 +221,8 @@ class Runtime:
         self._ranks = [_RankState() for _ in range(self.nprocs)]
         self._contexts = [RankContext(self, r) for r in range(self.nprocs)]
         self._schedulers = [
-            _SenderScheduler(self, host, transport.sender_concurrency)
-            for host in range(self.nprocs)
+            SenderScheduler(self._start_flow, transport.sender_concurrency)
+            for _ in range(self.nprocs)
         ]
         self._mux = [
             SerialResource(self.engine, name=f"host{h}.rxcpu")
@@ -414,7 +375,7 @@ class Runtime:
         submit_delay = self._jitter() + self.transport.submit_cost(nbytes)
         if eager:
             self.engine.schedule_after(
-                submit_delay, lambda: self._schedulers[rank].submit(message)
+                submit_delay, lambda: self._schedulers[rank].submit(message.dst, message)
             )
         else:
             # Rendezvous: RTS control message (latency-only).
@@ -455,7 +416,7 @@ class Runtime:
         )
 
     def _flow_done(self, message: _Message) -> None:
-        self._schedulers[message.src].release(message)
+        self._schedulers[message.src].release(message.dst)
         message.send_req.complete(self.engine.now)
         self.engine.schedule_after(
             self.transport.base_latency, lambda: self._wire_arrival(message)
@@ -495,7 +456,7 @@ class Runtime:
         """Matched a rendezvous RTS: CTS travels back, data follows."""
         delay = self.transport.ctrl_overhead + self.transport.base_latency
         self.engine.schedule_after(
-            delay, lambda: self._schedulers[message.src].submit(message)
+            delay, lambda: self._schedulers[message.src].submit(message.dst, message)
         )
 
     # -- matching ---------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Serial host resources (CPU-side FIFO service).
+"""Host-side queues: CPU FIFO service and sender wire admission.
 
 Models the per-message host processing that a kernel network stack pays
 when demultiplexing many concurrent inbound streams: requests queue and
@@ -6,16 +6,20 @@ are served one at a time.  This is the mechanism behind the paper's δ
 parameter (see DESIGN.md §5) — with n-1 simultaneous arrivals the queue
 serialises, contributing an affine per-round overhead, while a single
 ping-pong message (queue of one) pays only its own service time.
+
+:class:`SenderScheduler` is the send side: the order in which a host
+puts its queued messages on the wire.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Callable
 
 from .engine import Engine
 
-__all__ = ["SerialResource"]
+__all__ = ["SerialResource", "SenderScheduler"]
 
 
 class SerialResource:
@@ -77,3 +81,49 @@ class SerialResource:
             self._serve_next()
 
         self._engine.schedule_after(duration, _finish)
+
+
+class SenderScheduler:
+    """Per-host wire admission: pair-FIFO channels plus a concurrency cap.
+
+    Submitted items dispatch (``start(item)``) in FIFO order while fewer
+    than *concurrency* are in flight (``None``: no cap), skipping items
+    whose destination already has one in flight; per-pair order still
+    holds, since only the head item of each pair can be eligible.
+    ``release(dst)`` retires the in-flight item to *dst*.  Both
+    simulation engines share it, so they dispatch in the same order.
+    """
+
+    __slots__ = ("_start", "_limit", "_queue", "_busy_pairs", "_in_flight")
+
+    def __init__(self, start: Callable, concurrency: int | None) -> None:
+        self._start = start
+        self._limit = concurrency if concurrency is not None else math.inf
+        self._queue: deque[tuple] = deque()
+        self._busy_pairs: set[int] = set()
+        self._in_flight = 0
+
+    def submit(self, dst: int, item) -> None:
+        self._queue.append((dst, item))
+        self._pump()
+
+    def release(self, dst: int) -> None:
+        self._in_flight -= 1
+        self._busy_pairs.discard(dst)
+        self._pump()
+
+    def _pump(self) -> None:
+        if not self._queue:
+            return
+        blocked: deque[tuple] = deque()
+        while self._queue and self._in_flight < self._limit:
+            entry = self._queue.popleft()
+            dst, item = entry
+            if dst in self._busy_pairs:
+                blocked.append(entry)
+                continue
+            self._busy_pairs.add(dst)
+            self._in_flight += 1
+            self._start(item)
+        blocked.extend(self._queue)
+        self._queue = blocked

@@ -64,7 +64,6 @@ Not supported: programs that cannot be lowered (wildcards,
 from __future__ import annotations
 
 import math
-from collections import deque
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -75,7 +74,7 @@ from .fairness import FlowPaths, max_min_allocation
 from .fluid import _BYTE_EPS, _RESOLVE_PRIORITY
 from .loss import LossModel, LossParams
 from .penalty import HolPenalty
-from .resources import SerialResource
+from .resources import SenderScheduler, SerialResource
 from .rng import RngFactory
 from .stats import SimStats
 from .topology import Topology
@@ -110,48 +109,6 @@ _LOSSY_TIE_EPS = 0.05
 #: lands exactly on the crossing, so only accumulated float roundoff
 #: (~1e-16 per epoch) has to fit under the epsilon.
 _BUDGET_EPS = 1e-9
-
-
-class _HostScheduler:
-    """Per-host wire admission: pair-FIFO channels + concurrency cap.
-
-    Mirrors the reference runtime's sender scheduler, dispatching
-    message ids instead of message objects.
-    """
-
-    __slots__ = ("_sim", "_limit", "_queue", "_busy_pairs", "_in_flight")
-
-    def __init__(self, sim: "VectorSimulator", concurrency: int | None) -> None:
-        self._sim = sim
-        self._limit = concurrency if concurrency is not None else math.inf
-        self._queue: deque[int] = deque()
-        self._busy_pairs: set[int] = set()
-        self._in_flight = 0
-
-    def submit(self, mid: int) -> None:
-        self._queue.append(mid)
-        self._pump()
-
-    def release(self, mid: int) -> None:
-        self._in_flight -= 1
-        self._busy_pairs.discard(self._sim._msg_dst[mid])
-        self._pump()
-
-    def _pump(self) -> None:
-        if not self._queue:
-            return
-        blocked: deque[int] = deque()
-        while self._queue and self._in_flight < self._limit:
-            mid = self._queue.popleft()
-            dst = self._sim._msg_dst[mid]
-            if dst in self._busy_pairs:
-                blocked.append(mid)
-                continue
-            self._busy_pairs.add(dst)
-            self._in_flight += 1
-            self._sim._inject(mid)
-        blocked.extend(self._queue)
-        self._queue = blocked
 
 
 class _RankState:
@@ -276,7 +233,7 @@ class VectorSimulator:
         # Protocol state.
         self._ranks = [_RankState() for _ in range(self.nprocs)]
         self._schedulers = [
-            _HostScheduler(self, transport.sender_concurrency)
+            SenderScheduler(self._inject, transport.sender_concurrency)
             for _ in range(self.nprocs)
         ]
         self._mux = [
@@ -492,9 +449,9 @@ class VectorSimulator:
             return
         submit_delay = self._jitter() + self._msg_submit[mid]
         if self._msg_eager[mid]:
-            src = self._msg_src[mid]
+            src, dst = self._msg_src[mid], self._msg_dst[mid]
             self.engine.schedule_after(
-                submit_delay, lambda: self._schedulers[src].submit(mid)
+                submit_delay, lambda: self._schedulers[src].submit(dst, mid)
             )
         else:
             rts_delay = (
@@ -541,10 +498,10 @@ class VectorSimulator:
             self._complete_recv(mid)
         else:
             # Rendezvous: CTS travels back, then the payload is submitted.
-            src = self._msg_src[mid]
+            src, dst = self._msg_src[mid], self._msg_dst[mid]
             delay = self.transport.ctrl_overhead + self.transport.base_latency
             self.engine.schedule_after(
-                delay, lambda: self._schedulers[src].submit(mid)
+                delay, lambda: self._schedulers[src].submit(dst, mid)
             )
 
     def _complete_send(self, mid: int) -> None:
@@ -903,7 +860,7 @@ class VectorSimulator:
         self._structure_dirty = True
 
     def _on_flow_complete(self, mid: int, inbound: int) -> None:
-        self._schedulers[self._msg_src[mid]].release(mid)
+        self._schedulers[self._msg_src[mid]].release(self._msg_dst[mid])
         self._complete_send(mid)
         self.engine.schedule_after(
             self.transport.base_latency,

@@ -8,7 +8,7 @@ package turns those grids into first-class objects:
   message sizes x algorithms x seeds;
 * :class:`SweepRunner` — resolves points cache-first, runs misses on a
   pluggable executor (:mod:`repro.exec`: serial / persistent process
-  pool / futures) with per-point failure isolation and streaming
+  pool) with per-point failure isolation and streaming
   result sinks;
 * :class:`ResultCache` — content-addressed store keyed by a hash of
   (point coordinates, cluster-profile fingerprint, cache version).

@@ -5,8 +5,8 @@ plans the remaining (cache-miss) points as
 :class:`~repro.exec.ExecutionTask` payloads, and hands them to an
 **executor** from the :data:`repro.registry.EXECUTORS` registry —
 ``serial`` (in-process), ``process`` (persistent warm worker pool with
-chunked ``imap_unordered`` streaming, the default when ``workers > 1``)
-or ``futures``.  Simulation order never affects results: each point's
+chunked ``imap_unordered`` streaming, the default when ``workers > 1``).
+Simulation order never affects results: each point's
 random streams are derived *by name* from its own coordinates (see the
 package docstring), so a point simulated by worker 3 of an 8-way pool
 is bit-identical to the same point simulated serially — and so are the
@@ -277,8 +277,8 @@ class SweepRunner:
     cache:
         Result cache, or ``None`` to always simulate.
     executor:
-        Executor registry name (``serial`` / ``process`` / ``futures``
-        or a user-registered one), or a live
+        Executor registry name (``serial`` / ``process`` or a
+        user-registered one), or a live
         :class:`~repro.exec.Executor` instance.  Default: ``process``
         when ``workers > 1``, else ``serial``.  The instance is built
         lazily and **kept** — consecutive ``run_points`` calls on one

@@ -17,109 +17,32 @@ coordinate always obtain bit-identical matrices.
 
 from __future__ import annotations
 
-import inspect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..core.med import MED
-from ..exceptions import ScenarioError, UnknownNameError
-from ..registry import PATTERNS
+from ..exceptions import ScenarioError
+from ..registry import PATTERNS, RegisteredSpec
 from ..simnet.rng import RngFactory
 
 __all__ = ["PatternSpec", "as_pattern"]
 
-_PARAM_TYPES = (int, float, str, bool)
-
-
-def _canonical_value(key, value):
-    """One canonical spelling per parameter value.
-
-    ``8`` and ``8.0`` must be the *same* parameter — same key(), same
-    RNG stream, same cache payload — whether they arrived from TOML
-    (``factor = 8.0``), the CLI (``factor=8``) or Python, so integral
-    floats collapse to ints.  Bools stay bools (checked first: bool is
-    an int subclass).
-    """
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, _PARAM_TYPES):
-        return value
-    raise ScenarioError(
-        f"pattern param {key!r} must be a scalar "
-        f"(int/float/str/bool), got {type(value).__name__}"
-    )
-
 
 @dataclass(frozen=True)
-class PatternSpec:
+class PatternSpec(RegisteredSpec):
     """A registered traffic-pattern generator plus its parameters.
 
-    ``params`` accepts a dict at construction and is canonicalised to a
-    sorted tuple of ``(key, value)`` pairs, so specs are hashable and
-    two spellings of the same pattern compare (and cache) equal.
+    Generators are called ``f(n_processes, msg_size, *, rng, **params)``;
+    naming, parameter canonicalisation and serialisation live in
+    :class:`~repro.registry.RegisteredSpec`.
     """
 
+    registry = PATTERNS
+    noun = "pattern"
+    leading = 2
+
     name: str = "uniform"
-    params: tuple = field(default_factory=tuple)
-
-    def __post_init__(self) -> None:
-        try:
-            object.__setattr__(self, "name", PATTERNS.canonical(self.name))
-        except UnknownNameError as exc:
-            raise ScenarioError(exc.args[0]) from None
-        raw = self.params
-        if isinstance(raw, dict):
-            raw = tuple(raw.items())
-        try:
-            pairs = tuple(
-                sorted((str(k), _canonical_value(k, v)) for k, v in raw)
-            )
-        except (TypeError, ValueError) as exc:
-            if isinstance(exc, ScenarioError):
-                raise
-            raise ScenarioError(
-                f"pattern params must be a mapping, got {self.params!r}"
-            ) from None
-        object.__setattr__(self, "params", pairs)
-        self._check_generator_accepts(pairs)
-
-    def _check_generator_accepts(self, pairs: tuple) -> None:
-        """Fail at spec-construction time, not mid-sweep in a worker."""
-        signature = inspect.signature(PATTERNS.get(self.name))
-        accepts_kwargs = any(
-            p.kind is inspect.Parameter.VAR_KEYWORD
-            for p in signature.parameters.values()
-        )
-        if accepts_kwargs:
-            return
-        # Parameters reachable as keywords: keyword-only ones plus any
-        # positional-or-keyword beyond the leading (n_processes,
-        # msg_size) pair — user generators need not use a `*` separator.
-        positional = [
-            p.name for p in signature.parameters.values()
-            if p.kind in (
-                inspect.Parameter.POSITIONAL_ONLY,
-                inspect.Parameter.POSITIONAL_OR_KEYWORD,
-            )
-        ]
-        known = {
-            p.name for p in signature.parameters.values()
-            if p.kind in (
-                inspect.Parameter.KEYWORD_ONLY,
-                inspect.Parameter.POSITIONAL_OR_KEYWORD,
-            )
-        } - set(positional[:2]) - {"rng"}
-        unknown = sorted(key for key, _ in pairs if key not in known)
-        if unknown:
-            raise ScenarioError(
-                f"unknown param(s) {unknown} for pattern {self.name!r}; "
-                f"known: {', '.join(sorted(known)) or '(none)'}"
-            )
-
-    # -- queries ---------------------------------------------------------
 
     @property
     def is_uniform(self) -> bool:
@@ -129,20 +52,7 @@ class PatternSpec:
         the legacy scalar ``msg_size`` path bit-for-bit (same rank
         programs, same RNG stream names, same sweep cache keys).
         """
-        return self.name == "uniform" and not self.params
-
-    def key(self) -> str:
-        """Canonical compact form, e.g. ``hotspot(factor=8,targets=2)``.
-
-        Used in RNG stream names and log labels; parameter order (and
-        the one-spelling-per-value rule — ``8.0`` renders as ``8``) is
-        the canonical form ``__post_init__`` established.
-        """
-        if not self.params:
-            return self.name
-        inner = ",".join(f"{k}={v!r}" if isinstance(v, str) else f"{k}={v}"
-                         for k, v in self.params)
-        return f"{self.name}({inner})"
+        return self.is_default
 
     # -- matrix construction ---------------------------------------------
 
@@ -172,49 +82,7 @@ class PatternSpec:
         """Lower the pattern to the paper's §5 message exchange digraph."""
         return MED.from_matrix(self.matrix(n_processes, msg_size, seed=seed))
 
-    # -- serialization ---------------------------------------------------
 
-    def to_dict(self) -> dict:
-        out: dict = {"name": self.name}
-        if self.params:
-            out["params"] = dict(self.params)
-        return out
-
-    @classmethod
-    def from_dict(cls, data) -> "PatternSpec":
-        if isinstance(data, str):
-            return cls(name=data)
-        if not isinstance(data, dict):
-            raise ScenarioError("pattern must be a name or a table/dict")
-        unknown = sorted(set(data) - {"name", "params"})
-        if unknown:
-            raise ScenarioError(
-                f"unknown pattern field(s) {unknown}; known: name, params"
-            )
-        return cls(
-            name=str(data.get("name", "uniform")),
-            params=dict(data.get("params", {})),
-        )
-
-    def cache_payload(self) -> dict:
-        """JSON-stable identity for sweep cache keys (same as to_dict)."""
-        return {"name": self.name, "params": dict(self.params)}
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.key()
-
-
-def as_pattern(value) -> "PatternSpec | None":
-    """Coerce a name/dict/spec to a :class:`PatternSpec` (``None`` passes).
-
-    The trivial uniform spec is collapsed to ``None`` — the legacy
-    scalar path — so ``uniform`` and "no pattern" are one identity
-    everywhere downstream (one simulation path, one cache key).
-    """
-    if value is None:
-        return None
-    if isinstance(value, PatternSpec):
-        spec = value
-    else:
-        spec = PatternSpec.from_dict(value)
-    return None if spec.is_uniform else spec
+#: Name/dict/spec → :class:`PatternSpec`, with ``uniform`` (and ``None``)
+#: collapsed to ``None``: the legacy scalar path.
+as_pattern = PatternSpec.coerce

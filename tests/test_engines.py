@@ -352,6 +352,68 @@ class TestCacheKeyStability:
         )
         assert key == self.EXPECTED_SCENARIO
 
+    #: Spec-layer keys: pattern params, non-identity placements (named
+    #: and explicit) and a scenario carrying a placement.
+    EXPECTED_SPEC_POINTS = {
+        "round-robin": (
+            {"placement": {"name": "round-robin", "params": {"groups": 4.0}}},
+            {"placement": "round-robin(groups=4)"},
+            "c265226250d2927927211db3b44d841a53eadc184db3038d8e584b21cbb2aae6",
+        ),
+        "explicit": (
+            {"placement": [1, 0, 2, 3, 4, 5, 6, 7]},
+            {"placement": "explicit[1,0,2,3,4,5,6,7]"},
+            "5b79b8084b9545b8a9a8500de5b0358fa4c60d78facee64729ae4fa655ce0bff",
+        ),
+        "pattern+placement": (
+            {
+                "pattern": {
+                    "name": "hotspot", "params": {"targets": 2, "factor": 8.0},
+                },
+                "placement": {"name": "round-robin", "params": {"groups": 2}},
+            },
+            {
+                "pattern": "hotspot(factor=8,targets=2)",
+                "placement": "round-robin(groups=2)",
+            },
+            "8dfda70c73a8ce80bee96ca6d54d824ebdbae04346f77337fe6634dbe8071c57",
+        ),
+    }
+    EXPECTED_PLACED_SCENARIO = (
+        "e224ce907f8ad4ca0764f97d20a20a575f25078252e1d3d8f3f90f15fbf486ce"
+    )
+
+    @pytest.mark.parametrize("case", sorted(EXPECTED_SPEC_POINTS))
+    def test_spec_point_keys_unchanged(self, case):
+        fields, keys, expected = self.EXPECTED_SPEC_POINTS[case]
+        point = SweepPoint(
+            cluster="gigabit-ethernet", n_processes=8, msg_size=4096,
+            algorithm="direct", seed=0, reps=3, **fields,
+        )
+        assert {
+            name: getattr(point, name).key() for name in keys
+        } == keys
+        key = point_key(
+            point, profile_fingerprint(get_cluster("gigabit-ethernet"))
+        )
+        assert key == expected
+
+    def test_placed_scenario_point_key_unchanged(self):
+        spec = ScenarioSpec(
+            name="demo", base="gigabit-ethernet",
+            transport={"jitter_scale": 0.0},
+            placement={"name": "round-robin", "params": {"groups": 2}},
+        )
+        point = SweepPoint(
+            cluster="demo", n_processes=8, msg_size=4096,
+            algorithm="direct", seed=0, reps=3,
+        )
+        key = point_key(
+            point, profile_fingerprint(spec.build_profile()),
+            scenario=spec.cache_payload(),
+        )
+        assert key == self.EXPECTED_PLACED_SCENARIO
+
     def test_non_default_engine_changes_key(self):
         base = SweepPoint(
             cluster="myrinet", n_processes=8, msg_size=4096,

@@ -11,7 +11,6 @@ from repro.exec import (
     CallbackSink,
     CsvSink,
     ExecutionTask,
-    FuturesExecutor,
     JsonlSink,
     ProcessExecutor,
     ResultSink,
@@ -45,12 +44,15 @@ def bad_point():
 class TestExecutorRegistry:
     def test_builtins_registered(self):
         names = EXECUTORS.names()
-        assert {"serial", "process", "futures"} <= set(names)
+        assert {"serial", "process"} <= set(names)
+        # ``futures`` is an alias of ``process``, not a canonical name.
+        assert "futures" not in names and "futures" in EXECUTORS
 
     def test_aliases_resolve(self):
         assert isinstance(get_executor("pool", 2), ProcessExecutor)
         assert isinstance(get_executor("inline"), SerialExecutor)
-        assert isinstance(get_executor("concurrent-futures", 2), FuturesExecutor)
+        assert isinstance(get_executor("futures", 2), ProcessExecutor)
+        assert isinstance(get_executor("concurrent-futures", 2), ProcessExecutor)
 
     def test_unknown_executor_lists_known(self):
         with pytest.raises(UnknownNameError, match="serial"):
@@ -122,12 +124,10 @@ class TestExecutorsAgree:
         assert all(o.ok for o in by_index.values())
         return [by_index[i].sample.mean_time for i in sorted(by_index)]
 
-    def test_process_and_futures_match_serial(self):
+    def test_process_matches_serial(self):
         tasks = self._tasks()
         serial = self._times(SerialExecutor().run(tasks))
         with ProcessExecutor(2) as pool:
-            assert self._times(pool.run(tasks)) == serial
-        with FuturesExecutor(2) as pool:
             assert self._times(pool.run(tasks)) == serial
 
 
@@ -413,7 +413,7 @@ class TestEnvConfiguration:
     def test_executor_env_selects_backend(self, monkeypatch):
         monkeypatch.setenv("REPRO_SWEEP_EXECUTOR", "futures")
         runner = configure_default_runner()
-        assert runner.executor_name == "futures"
+        assert runner.executor_name == "process"
 
     def test_malformed_workers_named_in_error(self, monkeypatch):
         monkeypatch.setenv("REPRO_SWEEP_WORKERS", "many")

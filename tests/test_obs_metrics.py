@@ -256,11 +256,6 @@ class TestExecutorRoundTrip:
         SweepRunner(workers=1, cache=None).run_points(points)
         assert _total("sim.runs") == 2.0
 
-    def test_futures_executor_does_not_double_count(self):
-        points = _points(sizes=(2048, 8192))
-        SweepRunner(workers=2, cache=None, executor="futures").run_points(points)
-        assert _total("sim.runs") == 2.0
-
     def test_rows_bit_identical_across_executors(self):
         points = _points()
         serial = SweepRunner(workers=1, cache=None).run_points(points)

@@ -22,6 +22,7 @@ from repro.exceptions import MeasurementError, ScenarioError
 from repro.measure.alltoall import measure_alltoall
 from repro.models import samples_from_rows
 from repro.placement import (
+    OptimizerSpec,
     PlacedTopology,
     PlacementSpec,
     apply_placement,
@@ -99,6 +100,34 @@ class TestPlacementSpec:
             PlacementSpec(perm=(0, 0, 2))
         with pytest.raises(ScenarioError, match="n=3"):
             PlacementSpec(perm=(2, 0, 1)).permutation(4)
+
+    @pytest.mark.parametrize("value", [
+        {"perm": "3021"},  # not read digit by digit
+        [0.7, 1.2],  # not truncated to the identity
+        [True, False],  # not read as 1, 0
+        {"perm": None},
+    ], ids=["string", "fractional", "bools", "none"])
+    def test_malformed_perm_rejected_naming_the_field(self, value):
+        with pytest.raises(ScenarioError, match="placement perm"):
+            as_placement(value)
+
+    def test_integral_float_perm_accepted(self):
+        # TOML/JSON ``1.0``, consistent with the integral-float param rule.
+        assert as_placement({"perm": [1.0, 0.0]}).key() == "explicit[1,0]"
+
+    @pytest.mark.parametrize("params", [None, [1], "groups"])
+    def test_malformed_params_rejected_naming_the_field(self, params):
+        with pytest.raises(ScenarioError, match="placement params"):
+            PlacementSpec.from_dict({"name": "round-robin", "params": params})
+
+    def test_non_finite_param_rejected(self):
+        with pytest.raises(ScenarioError, match="finite"):
+            PlacementSpec("round-robin", {"groups": float("inf")})
+
+    def test_parse_command_line_form(self):
+        assert PlacementSpec.parse("rr:groups=4") == PlacementSpec(
+            "round-robin", {"groups": 4}
+        )
 
     def test_as_placement_collapses_identity(self):
         assert as_placement(None) is None
@@ -287,6 +316,19 @@ class TestOptimizers:
             pattern=SHIFT, optimizer="anneal", seed=5,
         )
         assert outs.pop() == f"{list(local.permutation)} {local.evaluations}"
+
+    def test_unknown_optimizer_param_rejected_up_front(self):
+        with pytest.raises(ScenarioError, match="known: max_rounds"):
+            optimize_placement(
+                get_cluster("gigabit-ethernet"), 8, 4096,
+                params={"temperature": 2},
+            )
+
+    def test_optimizer_spec_canonicalises(self):
+        spec = OptimizerSpec.parse("swap:max_rounds=8.0")
+        assert spec.key() == "greedy(max_rounds=8)"
+        with pytest.raises(ScenarioError, match="unknown placement optimizer"):
+            OptimizerSpec("nosuch")
 
     def test_scenario_entry_point(self):
         scenario = api.Scenario.from_file(
@@ -490,6 +532,17 @@ class TestCli:
             "sweep", "--clusters", "gigabit-ethernet", "--placement", "nosuch",
         ]) == 2
         assert "unknown placement" in capsys.readouterr().err
+
+    def test_run_scenario_with_null_placement_params_exits_2(
+        self, capsys, tmp_path
+    ):
+        path = tmp_path / "null_params.json"
+        path.write_text(json.dumps({
+            "name": "null-params", "base": "gigabit-ethernet",
+            "placement": {"name": "round-robin", "params": None},
+        }))
+        assert main(["run", "--scenario", str(path)]) == 2
+        assert "placement params must be a mapping" in capsys.readouterr().err
 
     def test_run_placement_requires_scenario(self, capsys):
         assert main(["run", "fig02", "--placement", "identity"]) == 2

@@ -7,7 +7,7 @@ from repro.simnet.engine import Engine
 from repro.simnet.entities import LinkKind
 from repro.simnet.loss import LossParams
 from repro.simnet.penalty import HolPenalty
-from repro.simnet.resources import SerialResource
+from repro.simnet.resources import SenderScheduler, SerialResource
 from repro.simnet.rng import RngFactory
 from repro.simnet.stats import summarize
 from repro.simnet.trace import NullTrace, Trace
@@ -119,6 +119,27 @@ class TestSerialResource:
         assert cpu.total_busy_time == pytest.approx(3.0)
         assert cpu.served == 2
         assert not cpu.busy
+
+
+class TestSenderScheduler:
+    def test_pair_fifo_under_a_concurrency_cap(self):
+        started = []
+        sched = SenderScheduler(started.append, concurrency=2)
+        for dst, item in ((1, "a"), (1, "b"), (2, "c"), (3, "d")):
+            sched.submit(dst, item)
+        # "b" waits behind "a" on pair 1; the cap holds "d" back.
+        assert started == ["a", "c"]
+        sched.release(1)
+        assert started == ["a", "c", "b"]
+        sched.release(2)
+        assert started == ["a", "c", "b", "d"]
+
+    def test_uncapped_dispatches_every_free_pair(self):
+        started = []
+        sched = SenderScheduler(started.append, concurrency=None)
+        for dst in (1, 2, 3, 1):
+            sched.submit(dst, dst)
+        assert started == [1, 2, 3]
 
 
 class TestTrace:

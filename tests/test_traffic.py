@@ -71,6 +71,16 @@ class TestPatternSpec:
         with pytest.raises(ScenarioError, match="scalar"):
             PatternSpec("hotspot", {"targets": [1, 2]})
 
+    @pytest.mark.parametrize("params", [None, [1], "factor"])
+    def test_malformed_params_rejected_naming_the_field(self, params):
+        with pytest.raises(ScenarioError, match="pattern params"):
+            PatternSpec.from_dict({"name": "hotspot", "params": params})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_param_rejected(self, value):
+        with pytest.raises(ScenarioError, match="factor.*finite"):
+            PatternSpec("hotspot", {"factor": value})
+
     def test_params_canonicalise_to_sorted_pairs(self):
         a = PatternSpec("hotspot", {"targets": 2, "factor": 4.0})
         b = PatternSpec("hotspot", {"factor": 4.0, "targets": 2})
