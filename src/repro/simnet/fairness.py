@@ -17,6 +17,12 @@ vector operations per bottleneck level rather than Python-loop time per
 flow (see the optimisation guidance in the project coding guides:
 vectorise the hot loop, avoid per-element Python work).
 
+When every flow freezes in the first filling iteration — one
+bottleneck level, the common case of a symmetric fabric mid-run —
+:func:`single_level_allocation` returns that level's share in closed
+form from maintained per-link flow counts, bit-identical to the full
+batched fill, and declines (returns ``None``) otherwise.
+
 TCP's AIMD converges to rates close to max-min fair share on a LAN, and
 flow-level simulators (SimGrid's LV08, LogGOPSim variants) use the same
 approximation; §3 of the paper explicitly appeals to TCP "trying to
@@ -29,7 +35,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["FlowPaths", "AllocationResult", "max_min_allocation"]
+__all__ = [
+    "FlowPaths",
+    "AllocationResult",
+    "SingleLevel",
+    "max_min_allocation",
+    "single_level_allocation",
+]
 
 _EPS = 1e-12
 
@@ -172,18 +184,11 @@ def max_min_allocation(
                 link_load=None,
                 saturated=None,
             )
-        # A link frozen as part of a tie batch is allocated the batch's
-        # minimum share, leaving it up to ~tie_eps under capacity — it
-        # is still a bottleneck physically, so the saturation test
-        # widens by the same tolerance (the loss model keys off this).
-        saturated = (link_flow_count > 0) & (
-            link_load >= capacities * (1.0 - 1e-9 - tie_eps) - _EPS
-        )
         return AllocationResult(
             rates=rates,
             link_flow_count=link_flow_count,
             link_load=link_load,
-            saturated=saturated,
+            saturated=_saturated(capacities, link_flow_count, link_load, tie_eps),
         )
 
     # Reverse (link -> flows) CSR for freezing whole bottleneck links at once.
@@ -226,14 +231,109 @@ def max_min_allocation(
     link_load = np.zeros(n_links, dtype=np.float64)
     all_rows = paths.link_ids
     np.add.at(link_load, all_rows, np.repeat(rates, row_lengths))
-    saturated = (link_flow_count > 0) & (
-        link_load >= capacities * (1.0 - 1e-9) - _EPS
-    )
     return AllocationResult(
         rates=rates,
         link_flow_count=link_flow_count,
         link_load=link_load,
-        saturated=saturated,
+        saturated=_saturated(capacities, link_flow_count, link_load, 0.0),
+    )
+
+
+def _saturated(
+    capacities: np.ndarray,
+    link_flow_count: np.ndarray,
+    link_load: np.ndarray,
+    tie_eps: float,
+) -> np.ndarray:
+    """Bottleneck test: a used link whose load reaches its capacity.
+
+    A link frozen as part of a tie batch is allocated the batch's
+    minimum share, leaving it up to ~``tie_eps`` under capacity — it is
+    still a bottleneck physically, so the test widens by the same
+    tolerance (the loss model keys off this).
+    """
+    return (link_flow_count > 0) & (
+        link_load >= capacities * (1.0 - 1e-9 - tie_eps) - _EPS
+    )
+
+
+@dataclass(frozen=True)
+class SingleLevel:
+    """A one-level allocation: every flow is granted ``share``.
+
+    ``link_load`` and ``saturated`` follow :class:`AllocationResult`
+    (``None`` unless asked for with ``need_loads=True``).
+    """
+
+    share: float
+    link_load: "np.ndarray | None"
+    saturated: "np.ndarray | None"
+
+
+def single_level_allocation(
+    capacities: np.ndarray,
+    rows: np.ndarray,
+    link_flow_count: np.ndarray,
+    *,
+    tie_eps: float,
+    need_loads: bool = False,
+) -> "SingleLevel | None":
+    """Closed-form batched fill for inputs that need one filling level.
+
+    Computes the first iteration of the ``tie_eps > 0`` fill of
+    :func:`max_min_allocation` — every link's fair share, their minimum
+    and the near-tied links — and checks with one gather that every
+    flow crosses a tied link.  If so, all flows freeze at that share in
+    one iteration and the result is bit-identical to the full fill:
+    ``rates`` is the share for every flow and ``link_load`` is
+    ``share * link_flow_count``.  Otherwise it returns ``None`` and the
+    caller runs the full fill.
+
+    Parameters
+    ----------
+    capacities:
+        ``(L,)`` link capacities in bytes/second.
+    rows:
+        ``(F, W)`` link ids of each flow, ``F >= 1``.  Ragged paths are
+        padded with the id of a link of infinite capacity, which never
+        ties, so padding leaves the answer unchanged.
+    link_flow_count:
+        ``(L,)`` number of entries of *rows* on each link (what
+        :func:`max_min_allocation` would count from the same incidence).
+    tie_eps:
+        Relative tie tolerance, as in :func:`max_min_allocation`; must
+        be positive (the exact ``tie_eps=0`` fill freezes one link per
+        iteration and has no one-level closed form).
+    need_loads:
+        Also return the per-link load and saturation summary.
+    """
+    if tie_eps <= 0.0:
+        raise ValueError("the single-level closed form needs tie_eps > 0")
+    if len(rows) == 0:
+        raise ValueError("no flows to allocate")
+    fair = np.full(len(capacities), np.inf)
+    np.divide(capacities, link_flow_count, out=fair, where=link_flow_count > 0)
+    share = max(float(fair.min()), 0.0)
+    tied = fair <= share * (1.0 + tie_eps)
+    # Covering every flow takes at least one tied entry per flow; this
+    # one-call test turns most multi-level inputs away before the gather.
+    if np.dot(tied, link_flow_count) < len(rows):
+        return None
+    hit = tied[rows]
+    # Paths are a few hops wide: OR-ing the columns is several times
+    # faster than ``hit.any(axis=1)``.
+    covered = hit[:, 0]
+    for column in range(1, hit.shape[1]):
+        covered = covered | hit[:, column]
+    if not covered.all():
+        return None
+    if not need_loads:
+        return SingleLevel(share=share, link_load=None, saturated=None)
+    link_load = share * link_flow_count
+    return SingleLevel(
+        share=share,
+        link_load=link_load,
+        saturated=_saturated(capacities, link_flow_count, link_load, tie_eps),
     )
 
 

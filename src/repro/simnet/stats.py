@@ -2,7 +2,7 @@
 
 :class:`Summary` condenses samples of durations/throughputs;
 :class:`SimStats` counts what one simulation *cost* (allocation
-resolves, advance epochs, engine events) so engine regressions are
+passes, advance epochs, engine events) so engine regressions are
 visible in sweep output.  Collection is always cheap (plain counters);
 *surfacing* the counters on measurement rows is gated behind the
 ``REPRO_SIM_STATS`` environment flag (see :func:`stats_enabled`).
@@ -38,7 +38,11 @@ class SimStats:
     engine:
         Name of the simulation engine that produced the run.
     resolves:
-        Bandwidth-allocation solves (max-min re-solves) performed.
+        Allocation passes: every time the engine re-examined the active
+        set and its rates.  For the vector engine this includes the
+        passes counted in ``solve_reuses``, which skipped the solve; for
+        the fluid engine every pass solves.  The ``sim.solves`` registry
+        counter is fed from this value.
     epochs:
         Flow-advance epochs: distinct timesteps at which active flows
         actually progressed (``dt > 0`` with a non-empty active set).

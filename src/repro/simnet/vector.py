@@ -12,10 +12,19 @@ synchronized epochs**:
 * one array subtraction per epoch,
 
 with completions handled as batches that feed the next phase of the
-schedule.  The flow → link CSR is never rebuilt from Python lists: the
-route of every (src, dst) pair is encoded once at startup, and the
-active set's :class:`~repro.simnet.fairness.FlowPaths` is assembled per
-epoch with a vectorized ragged gather.
+schedule.  The flow → link incidence is never rebuilt: ``_setup`` gives
+every message a dense row of link ids (ragged routes, such as intra-
+against inter-switch hops on edge-core, are padded with a sentinel link
+of infinite capacity), and the engine keeps the active flows' rows and
+a per-link active-flow count up to date by deltas at admit, complete
+and stall.  The rows form the active set's
+:class:`~repro.simnet.fairness.FlowPaths` as a view.  Most epochs need
+one filling level — every flow freezes at the same share — and
+:func:`~repro.simnet.fairness.single_level_allocation` answers those in
+closed form from the maintained counts, bit-identical to the full fill;
+the rate is then kept as a scalar, so the advance and time-to-completion
+steps build no per-flow rate array.  The other epochs run the full
+solve on the maintained incidence.
 
 The protocol timeline (submit costs, eager/rendezvous handshakes,
 per-pair FIFO wire channels, sender concurrency caps, receiver demux)
@@ -54,8 +63,9 @@ Observability: pass ``trace=`` to record ``flow.inject`` /
 vector-specific ``vector.epoch`` (one per resolve, with the active-set
 size) and ``vector.phase`` (one per posted schedule segment) records;
 pass ``timeline=`` (a :class:`~repro.obs.timeline.LinkTimeline`) to
-collect per-link concurrency/bandwidth.  All default to off with zero
-overhead.
+collect per-link concurrency/bandwidth (its padding-free CSR and
+per-flow rate vector are built only when a timeline is attached).  All
+default to off with zero overhead.
 
 Not supported: programs that cannot be lowered (wildcards,
 ``ctx.now``).
@@ -64,13 +74,14 @@ Not supported: programs that cannot be lowered (wildcards,
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..exceptions import DeadlockError, SimulationError
 from .engine import Engine, EventHandle
-from .fairness import FlowPaths, max_min_allocation
+from .fairness import FlowPaths, max_min_allocation, single_level_allocation
 from .fluid import _BYTE_EPS, _RESOLVE_PRIORITY
 from .loss import LossModel, LossParams
 from .penalty import HolPenalty
@@ -162,9 +173,16 @@ class VectorSimulator:
         self._jitter_rng = rng_factory.stream("mpi/jitter")
         self._skew_rng = rng_factory.stream("mpi/skew")
         self._start_skew_scale = start_skew_scale
-        self._capacities = np.asarray(topology.capacities(), dtype=np.float64)
+        # Per-link vectors carry one extra entry: the sentinel link that
+        # pads ragged routes (infinite capacity, so it never ties or
+        # saturates, and its overload and HOL penalty are moot).
+        self._sentinel = len(topology.links)
+        self._capacities = np.append(
+            np.asarray(topology.capacities(), dtype=np.float64), np.inf
+        )
+        kinds = [link.kind for link in topology.links]
+        kinds.append(kinds[-1])
         if loss_params is not None and loss_params.enabled:
-            kinds = [link.kind for link in topology.links]
             self._loss_model: LossModel | None = LossModel(loss_params, kinds)
             self._loss_params = loss_params
         else:
@@ -172,9 +190,7 @@ class VectorSimulator:
             self._loss_params = loss_params
         if hol_penalty is not None and hol_penalty.enabled:
             self._hol = hol_penalty
-            self._hol_eta = hol_penalty.eta_vector(
-                [link.kind for link in topology.links]
-            )
+            self._hol_eta = hol_penalty.eta_vector(kinds)
         else:
             self._hol = None
             self._hol_eta = None
@@ -190,29 +206,28 @@ class VectorSimulator:
         self._msg_eager: list[bool] = []
         self._msg_submit: list[float] = []
         self._msg_wire: np.ndarray = np.empty(0)
-        self._msg_pair: np.ndarray = np.empty(0, dtype=np.int64)
         self._msg_dst_arr: np.ndarray = np.empty(0, dtype=np.int64)
         self._msg_src_arr: np.ndarray = np.empty(0, dtype=np.int64)
-        self._pair_indptr: np.ndarray = np.empty(0, dtype=np.int64)
-        self._pair_links: np.ndarray = np.empty(0, dtype=np.int64)
-        self._pair_len: np.ndarray = np.empty(0, dtype=np.int64)
-        self._pair_links2d: "np.ndarray | None" = None
+        # (messages x W) link ids of every message's route, padded with
+        # the sentinel link id.
+        self._msg_rows = np.empty((0, 1), dtype=np.int64)
 
-        # Flow core (active set, slot order = injection order).
+        # Flow core (active set, slot order = injection order).  The
+        # active rows and per-link flow counts change only by deltas at
+        # admit, complete and stall.  ``_act_rates`` is a float when one
+        # filling level gave every flow the same rate, else an array.
         self._act_mids = np.empty(0, dtype=np.int64)
+        self._act_rows = np.empty((0, 1), dtype=np.int64)
         self._act_remaining = np.empty(0, dtype=np.float64)
-        self._act_rates = np.empty(0, dtype=np.float64)
+        self._act_rates: "float | np.ndarray" = 0.0
         self._act_hazards = np.empty(0, dtype=np.float64)
+        self._link_count = np.zeros(len(self._capacities), dtype=np.int64)
         self._pending: list[int] = []
 
-        # Warm-start cache: when a resolve sees the exact same active
-        # set as the previous solve (rates-only epoch — e.g. a coalesced
-        # resume cascade), the CSR, rates and hazards are reused and the
-        # max-min solve is skipped entirely.
-        self._solve_mids: "np.ndarray | None" = None
-        self._solve_paths: "FlowPaths | None" = None
-        self._solve_rates = np.empty(0, dtype=np.float64)
-        self._solve_hazards = np.empty(0, dtype=np.float64)
+        # Warm start: a resolve that sees the same active set as the
+        # previous solve (rates-only epoch — e.g. a coalesced resume
+        # cascade) keeps its rates and hazards and skips the solve.
+        self._solve_stale = True
 
         # Loss-overlay state, allocated per message id in _setup() when
         # the profile enables losses.
@@ -225,7 +240,6 @@ class VectorSimulator:
         self._flow_rngs: dict[int, np.random.Generator] = {}
         self._inbound_open = np.zeros(self.nprocs, dtype=np.int64)
         self._outbound_open = np.zeros(self.nprocs, dtype=np.int64)
-        self._structure_dirty = False
         self._last_advance = 0.0
         self._resolve_event: EventHandle | None = None
         self._completion_event: EventHandle | None = None
@@ -270,7 +284,9 @@ class VectorSimulator:
         pair_ids: dict[tuple[int, int], int] = {}
         routes: list[tuple[int, ...]] = []
         wire = np.zeros(n_messages, dtype=np.float64)
-        pair = np.zeros(n_messages, dtype=np.int64)
+        # Local messages never reach the flow core; they keep pair -1,
+        # the all-sentinel row.
+        pair = np.full(n_messages, -1, dtype=np.int64)
         for m in lowered.messages:
             self._msg_src.append(m.src)
             self._msg_dst.append(m.dst)
@@ -289,29 +305,16 @@ class VectorSimulator:
                 pair[m.mid] = pid
                 wire[m.mid] = transport.wire_bytes(m.nbytes)
         self._msg_wire = wire
-        self._msg_pair = pair
         self._msg_dst_arr = np.asarray(self._msg_dst, dtype=np.int64)
         self._msg_src_arr = np.asarray(self._msg_src, dtype=np.int64)
-        lengths = np.fromiter(
-            (len(r) for r in routes), dtype=np.int64, count=len(routes)
+        lengths = np.fromiter(map(len, routes), dtype=np.int64, count=len(routes))
+        width = int(lengths.max()) if len(routes) else 1
+        pair_rows = np.full((len(routes) + 1, width), self._sentinel, dtype=np.int64)
+        pair_rows[:-1][np.arange(width) < lengths[:, None]] = np.fromiter(
+            chain.from_iterable(routes), dtype=np.int64, count=int(lengths.sum())
         )
-        self._pair_indptr = np.zeros(len(routes) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=self._pair_indptr[1:])
-        self._pair_len = lengths
-        if routes and self._pair_indptr[-1]:
-            self._pair_links = np.concatenate(
-                [np.asarray(r, dtype=np.int64) for r in routes]
-            )
-        else:
-            self._pair_links = np.empty(0, dtype=np.int64)
-        if len(lengths) and int(lengths.min()) == int(lengths.max()):
-            # Uniform route length (true on single-switch and other
-            # symmetric fabrics): the per-pair routes form a dense
-            # matrix, so the per-epoch CSR assembly reduces to one fancy
-            # index instead of a ragged gather.
-            self._pair_links2d = self._pair_links.reshape(
-                len(routes), int(lengths[0])
-            )
+        self._msg_rows = pair_rows[pair]
+        self._act_rows = np.empty((0, width), dtype=np.int64)
         if self._loss_model is not None:
             # One vectorized Exp(1) draw, indexed by message id, seeds
             # every flow's first loss budget; post-loss draws come from
@@ -547,7 +550,6 @@ class VectorSimulator:
             self._resolve_event = self.engine.schedule(
                 self.engine.now, self._resolve, priority=_RESOLVE_PRIORITY
             )
-        self._structure_dirty = True
 
     def _resolve(self) -> None:
         """One epoch: advance, batch completions, re-solve, reschedule."""
@@ -583,12 +585,7 @@ class VectorSimulator:
                 np.subtract.at(self._inbound_open, dsts, 1)
                 np.subtract.at(self._outbound_open, srcs, 1)
                 self.flows_completed += len(finished)
-                keep = ~mask
-                self._act_mids = self._act_mids[keep]
-                self._act_remaining = self._act_remaining[keep]
-                if lossy:
-                    self._act_hazards = self._act_hazards[keep]
-                self._structure_dirty = True
+                self._drop(mask)
                 if self._tracing:
                     for mid in finished:
                         mid = int(mid)
@@ -612,93 +609,42 @@ class VectorSimulator:
             if lost_mask.any():
                 lost = self._act_mids[lost_mask]
                 lost_remaining = self._act_remaining[lost_mask]
-                keep = ~lost_mask
-                self._act_mids = self._act_mids[keep]
-                self._act_remaining = self._act_remaining[keep]
-                self._act_hazards = self._act_hazards[keep]
-                self._structure_dirty = True
+                self._drop(lost_mask)
                 for mid, rem in zip(lost, lost_remaining):
                     self._stall(int(mid), max(float(rem), 0.0))
 
-        if self._structure_dirty:
-            if self._pending:
-                admitted = np.asarray(self._pending, dtype=np.int64)
-                self._pending.clear()
-                remaining_src = (
-                    self._flow_remaining if lossy else self._msg_wire
-                )
-                self._act_mids = np.concatenate([self._act_mids, admitted])
-                self._act_remaining = np.concatenate(
-                    [self._act_remaining, remaining_src[admitted]]
-                )
-            self._structure_dirty = False
-            self.max_concurrent = max(self.max_concurrent, len(self._act_mids))
-
+        if self._pending:
+            admitted = np.asarray(self._pending, dtype=np.int64)
+            self._pending.clear()
+            remaining_src = self._flow_remaining if lossy else self._msg_wire
+            rows = self._msg_rows[admitted]
+            self._link_count += np.bincount(
+                rows.ravel(), minlength=len(self._link_count)
+            )
+            self._act_mids = np.concatenate([self._act_mids, admitted])
+            self._act_rows = np.concatenate([self._act_rows, rows])
+            self._act_remaining = np.concatenate(
+                [self._act_remaining, remaining_src[admitted]]
+            )
+            self._solve_stale = True
         n_active = len(self._act_mids)
-        paths = None
-        if n_active:
-            if (
-                self._solve_mids is not None
-                and len(self._solve_mids) == n_active
-                and np.array_equal(self._act_mids, self._solve_mids)
-            ):
-                # Warm start: identical flow set => identical solve (the
-                # batched fill is deterministic) and identical hazards
-                # (backoffs only change on a stall, which changes the
-                # set).  Reuse the CSR, rates and hazards outright.
-                paths = self._solve_paths
-                self._act_rates = self._solve_rates
-                self._act_hazards = self._solve_hazards
-                self.solve_reuses += 1
-            else:
-                paths = self._active_paths()
-                capacities = self._capacities
-                if self._hol is not None:
-                    counts = np.bincount(
-                        paths.link_ids, minlength=len(capacities)
-                    )
-                    capacities = self._hol.effective(
-                        capacities, self._hol_eta, counts
-                    )
-                # The loss model needs the saturation summary; the
-                # batched fill fuses its accumulation into the solve.
-                alloc = max_min_allocation(
-                    capacities, paths,
-                    tie_eps=_LOSSY_TIE_EPS if lossy else _ALLOC_TIE_EPS,
-                    need_loads=lossy,
-                )
-                self._act_rates = alloc.rates
-                if lossy:
-                    backoffs = None
-                    if self._loss_params.backoff_hazard_factor > 0:
-                        backoffs = self._backoff[self._act_mids].astype(
-                            np.float64
-                        )
-                    self._act_hazards = self._loss_model.flow_hazards(
-                        paths.link_ids,
-                        paths.indptr,
-                        alloc.rates,
-                        alloc.link_flow_count,
-                        alloc.saturated,
-                        backoffs,
-                    )
-                else:
-                    self._act_hazards = np.empty(0, dtype=np.float64)
-                self.solves += 1
-                # _act_mids is replaced wholesale (never mutated in
-                # place) on structure changes, so aliasing it is safe.
-                self._solve_mids = self._act_mids
-                self._solve_paths = paths
-                self._solve_rates = self._act_rates
-                self._solve_hazards = self._act_hazards
-        else:
-            self._act_rates = np.empty(0, dtype=np.float64)
+        self.max_concurrent = max(self.max_concurrent, n_active)
+
+        if not n_active:
+            self._act_rates = 0.0
             self._act_hazards = np.empty(0, dtype=np.float64)
-            self._solve_mids = None
-            self._solve_paths = None
+        elif self._solve_stale:
+            self._solve(lossy)
+            self._solve_stale = False
+            self.solves += 1
+        else:
+            # Warm start: same flow set => same solve (the batched fill
+            # is deterministic) and same hazards (backoffs only change
+            # on a stall, which changes the set).
+            self.solve_reuses += 1
 
         if self._timeline is not None:
-            self._timeline.record_active(now, paths, self._act_rates)
+            self._record_timeline(now)
         if self._tracing:
             self.trace.emit(
                 now, "vector.epoch", active=n_active,
@@ -713,32 +659,75 @@ class VectorSimulator:
         for mid, inbound in zip(finished, finished_inbound):
             self._on_flow_complete(int(mid), int(inbound))
 
+    def _drop(self, mask: np.ndarray) -> None:
+        """Remove the active flows selected by *mask* (completed or stalled)."""
+        # ``compress`` selects rows of a 2-D array several times faster
+        # than boolean indexing.
+        self._link_count -= np.bincount(
+            self._act_rows.compress(mask, axis=0).ravel(),
+            minlength=len(self._link_count),
+        )
+        keep = ~mask
+        self._act_mids = self._act_mids[keep]
+        self._act_rows = self._act_rows.compress(keep, axis=0)
+        self._act_remaining = self._act_remaining[keep]
+        if self._loss_model is not None:
+            self._act_hazards = self._act_hazards[keep]
+        self._solve_stale = True
+
+    def _solve(self, lossy: bool) -> None:
+        """Allocate rates (and hazards) for the current active set."""
+        capacities = self._capacities
+        counts = self._link_count
+        if self._hol is not None:
+            capacities = self._hol.effective(capacities, self._hol_eta, counts)
+        tie_eps = _LOSSY_TIE_EPS if lossy else _ALLOC_TIE_EPS
+        # Only the loss model needs the load/saturation summary.
+        level = single_level_allocation(
+            capacities, self._act_rows, counts, tie_eps=tie_eps, need_loads=lossy,
+        )
+        paths = self._active_paths() if level is None or lossy else None
+        if level is not None:
+            self._act_rates = level.share
+            rates = np.full(len(self._act_mids), level.share) if lossy else None
+            saturated = level.saturated
+        else:
+            alloc = max_min_allocation(
+                capacities, paths, tie_eps=tie_eps, need_loads=lossy,
+            )
+            self._act_rates = rates = alloc.rates
+            saturated = alloc.saturated
+        if not lossy:
+            return
+        backoffs = None
+        if self._loss_params.backoff_hazard_factor > 0:
+            backoffs = self._backoff[self._act_mids].astype(np.float64)
+        self._act_hazards = self._loss_model.flow_hazards(
+            paths.link_ids, paths.indptr, rates, counts, saturated, backoffs,
+        )
+
     def _active_paths(self) -> FlowPaths:
-        """Assemble the active set's CSR with a vectorized ragged gather."""
-        pairs = self._msg_pair[self._act_mids]
-        if self._pair_links2d is not None:
-            width = self._pair_links2d.shape[1]
-            indptr = np.arange(
-                0, (len(pairs) + 1) * width, width, dtype=np.int64
-            )
-            return FlowPaths(
-                indptr=indptr,
-                link_ids=self._pair_links2d[pairs].reshape(-1),
-            )
-        counts = self._pair_len[pairs]
-        indptr = np.zeros(len(pairs) + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        total = int(indptr[-1])
-        if total == 0:  # pragma: no cover - remote routes are never empty
-            return FlowPaths(indptr=indptr, link_ids=np.empty(0, dtype=np.int64))
-        starts = self._pair_indptr[pairs]
-        positions = np.ones(total, dtype=np.int64)
-        positions[0] = starts[0]
-        ends = np.cumsum(counts)[:-1]
-        if len(ends):
-            positions[ends] = starts[1:] - starts[:-1] - counts[:-1] + 1
-        link_ids = self._pair_links[np.cumsum(positions)]
-        return FlowPaths(indptr=indptr, link_ids=link_ids)
+        """The active rows as a CSR view (sentinel entries included)."""
+        n_active, width = self._act_rows.shape
+        return FlowPaths(
+            indptr=np.arange(0, (n_active + 1) * width, width, dtype=np.int64),
+            link_ids=self._act_rows.reshape(-1),
+        )
+
+    def _record_timeline(self, now: float) -> None:
+        """Hand the timeline the active set's CSR, built on demand."""
+        n_active = len(self._act_mids)
+        if not n_active:
+            self._timeline.record_active(now, None, np.empty(0))
+            return
+        real = self._act_rows != self._sentinel
+        indptr = np.zeros(n_active + 1, dtype=np.int64)
+        np.cumsum(real.sum(axis=1), out=indptr[1:])
+        self._timeline.record_active(
+            now,
+            FlowPaths(indptr=indptr, link_ids=self._act_rows[real]),
+            np.broadcast_to(self._act_rates, n_active),
+        )
 
     def _schedule_completion(self) -> None:
         if self._completion_event is not None:
@@ -747,7 +736,13 @@ class VectorSimulator:
         if not len(self._act_mids):
             return
         rates = self._act_rates
-        if float(rates.min()) > 0.0:
+        if isinstance(rates, float):
+            # One rate for all: division by a positive constant is
+            # monotone, so min(remaining) / rate is min(remaining / rate).
+            if rates <= 0.0:  # pragma: no cover - defensive
+                raise SimulationError("active flows with zero allocated rate")
+            dt = float(max(self._act_remaining.min() / rates, 0.0))
+        elif float(rates.min()) > 0.0:
             dt = float(max((self._act_remaining / rates).min(), 0.0))
         else:
             positive = rates > 0
@@ -773,7 +768,6 @@ class VectorSimulator:
 
     def _on_completion_due(self) -> None:
         self._completion_event = None
-        self._structure_dirty = True
         self._resolve()
 
     # ------------------------------------------------------------------
@@ -857,7 +851,6 @@ class VectorSimulator:
             self._resolve_event = self.engine.schedule(
                 self.engine.now, self._resolve, priority=_RESOLVE_PRIORITY
             )
-        self._structure_dirty = True
 
     def _on_flow_complete(self, mid: int, inbound: int) -> None:
         self._schedulers[self._msg_src[mid]].release(self._msg_dst[mid])

@@ -114,6 +114,113 @@ class TestVectorLimits:
             lower_program(clocky, 4, 2_048)
 
 
+def _ragged_edge_core():
+    """Lossless Fast Ethernet on 3-host edge switches: routes inside an
+    edge switch are shorter than routes through the core, so the vector
+    engine pads its link rows."""
+    from repro.simnet.topology import edge_core
+
+    return _lossless("fast-ethernet").with_overrides(
+        topology_factory=lambda n: edge_core(
+            n, nic_bandwidth=12.2e6, hosts_per_edge=3,
+            trunk_bandwidth=117e6, core_backplane=2e9,
+        )
+    )
+
+
+def _with_hol(cluster):
+    from repro.simnet.entities import LinkKind
+    from repro.simnet.penalty import HolPenalty
+
+    return cluster.with_overrides(hol=HolPenalty(eta={
+        LinkKind.HOST_RX: 0.5, LinkKind.HOST_TX: 0.25, LinkKind.TRUNK: 0.1,
+    }))
+
+
+def _vector_sim(cluster, n, **kwargs):
+    from repro.simnet.vector import VectorSimulator
+
+    return VectorSimulator(
+        cluster.topology(n), cluster.transport, nprocs=n,
+        loss_params=cluster.loss, hol_penalty=cluster.hol,
+        start_skew_scale=cluster.start_skew_scale, **kwargs,
+    )
+
+
+class TestVectorIncidence:
+    """Paths of the delta-maintained incidence and the single-level
+    closed form that no benchmark workload reaches: padded (ragged)
+    routes, HoL-penalised capacities and an attached timeline."""
+
+    def test_edge_core_routes_are_ragged(self):
+        topology = _ragged_edge_core().topology(8)
+        lengths = {
+            len(topology.route(s, d))
+            for s in range(8) for d in range(8) if s != d
+        }
+        assert len(lengths) > 1
+
+    @pytest.mark.parametrize("seed", (0, 1, 2))
+    def test_ragged_routes_with_jitter(self, seed):
+        cluster = _ragged_edge_core()
+        assert cluster.transport.jitter_scale > 0
+        fluid = _mean(cluster, "fluid", n=8, seed=seed)
+        vector = _mean(cluster, "vector", n=8, seed=seed)
+        assert vector == pytest.approx(fluid, rel=REL_TOL)
+
+    @pytest.mark.parametrize(
+        "make", (lambda: _lossless("myrinet"), _ragged_edge_core),
+        ids=("myrinet", "ragged-edge-core"),
+    )
+    def test_hol_penalty(self, make):
+        cluster = _with_hol(make())
+        assert cluster.hol.enabled
+        fluid = _mean(cluster, "fluid", n=8)
+        vector = _mean(cluster, "vector", n=8)
+        assert vector == pytest.approx(fluid, rel=REL_TOL)
+
+    def test_timeline_leaves_result_unchanged(self):
+        from repro.obs import LinkTimeline
+        from repro.registry import ALGORITHMS
+        from repro.simnet.entities import LinkKind
+
+        cluster = _ragged_edge_core()
+        lowered = lower_program(ALGORITHMS.get("direct"), 8, 4_096)
+        plain = _vector_sim(cluster, 8, seed=1).run(lowered)
+        timeline = LinkTimeline.for_topology(cluster.topology(8))
+        sim = _vector_sim(cluster, 8, seed=1, timeline=timeline)
+        observed = sim.run(lowered)
+        assert observed.rank_finish_times == plain.rank_finish_times
+        assert observed.events_processed == plain.events_processed
+        assert observed.stats == plain.stats
+        # Every wire byte leaves through exactly one host NIC; a flow
+        # completes within half a byte of its end.
+        tx = [
+            i for i, link in enumerate(cluster.topology(8).links)
+            if link.kind is LinkKind.HOST_TX
+        ]
+        missing = sim._msg_wire.sum() - timeline.delivered_bytes[tx].sum()
+        assert 0.0 <= missing <= 0.5 * observed.flows_completed
+
+    def test_closed_form_answers_most_solves(self, monkeypatch):
+        # Jittered GigE at n=32: most epochs need one filling level, so
+        # only a minority of solves reach the full fill.
+        from repro.registry import ALGORITHMS
+        from repro.simnet import vector
+
+        fills = []
+        full_fill = vector.max_min_allocation
+
+        def counting(*args, **kwargs):
+            fills.append(1)
+            return full_fill(*args, **kwargs)
+
+        monkeypatch.setattr(vector, "max_min_allocation", counting)
+        sim = _vector_sim(_lossless("gigabit-ethernet"), 32, seed=0)
+        sim.run(lower_program(ALGORITHMS.get("direct"), 32, 4_096))
+        assert 0 < len(fills) < sim.solves / 2
+
+
 class TestLossyVector:
     """The lossy overlay: acceptance, statistical equivalence with the
     fluid oracle, surfaced counters, stall/resume traces, determinism,
@@ -247,7 +354,7 @@ class TestLossyVector:
 
     def test_solve_reuse_when_set_unchanged(self):
         # White-box: a resolve that sees the exact same active set skips
-        # the max-min solve and reuses the cached rates/CSR.
+        # the allocation solve and keeps the rates it computed.
         import numpy as np
 
         from repro.simmpi.lowering import lower_program
@@ -266,13 +373,14 @@ class TestLossyVector:
         remote = [
             mid for mid in range(len(sim._msg_wire)) if not sim._msg_local[mid]
         ][:4]
-        sim._act_mids = np.asarray(remote, dtype=np.int64)
-        sim._act_remaining = np.full(len(remote), 1e8)
+        # Admit through the engine's own entry point, so the resolve
+        # sees the delta-maintained rows and link counts.
+        for mid in remote:
+            sim._inject(mid)
         sim._last_advance = sim.engine.now
-        sim._structure_dirty = False
-        sim._solve_mids = None
         solves_before = sim.solves
         sim._resolve()
+        assert np.array_equal(sim._act_mids, remote)
         assert sim.solves == solves_before + 1
         rates = sim._act_rates
         reuses_before = sim.solve_reuses

@@ -5,7 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.simnet.fairness import FlowPaths, max_min_allocation
+from repro.simnet.fairness import (
+    FlowPaths,
+    max_min_allocation,
+    single_level_allocation,
+)
 
 
 def alloc(capacities, paths):
@@ -157,3 +161,118 @@ class TestFlowPaths:
     def test_gather_rows_empty(self):
         paths = FlowPaths.from_lists([(0,)])
         assert paths.gather_rows(np.array([], dtype=np.int64)).size == 0
+
+
+@st.composite
+def padded_incidences(draw):
+    """Capacities and dense ``(F, W)`` link rows, as the vector engine
+    keeps them: ragged paths are padded with the id of one extra link of
+    infinite capacity.  Equal capacities make one-level fills common."""
+    n_links = draw(st.integers(min_value=1, max_value=6))
+    if draw(st.booleans()):
+        capacities = [draw(st.floats(min_value=1.0, max_value=1e4))] * n_links
+    else:
+        capacities = draw(
+            st.lists(
+                st.floats(min_value=1.0, max_value=1e4),
+                min_size=n_links,
+                max_size=n_links,
+            )
+        )
+    width = draw(st.integers(min_value=1, max_value=n_links))
+    ragged = draw(st.booleans())
+    rows = []
+    for _ in range(draw(st.integers(min_value=1, max_value=12))):
+        length = draw(st.integers(min_value=1, max_value=width)) if ragged else width
+        path = draw(
+            st.lists(
+                st.integers(min_value=0, max_value=n_links - 1),
+                min_size=length,
+                max_size=length,
+                unique=True,
+            )
+        )
+        rows.append(path + [n_links] * (width - length))
+    return np.append(capacities, np.inf), np.asarray(rows, dtype=np.int64)
+
+
+def _full_fill(capacities, rows, **kwargs):
+    n_flows, width = rows.shape
+    paths = FlowPaths(
+        indptr=np.arange(0, (n_flows + 1) * width, width, dtype=np.int64),
+        link_ids=rows.reshape(-1),
+    )
+    return max_min_allocation(capacities, paths, **kwargs)
+
+
+class TestSingleLevel:
+    """The closed form either declines or equals the batched fill bit
+    for bit, and never declines a fill that freezes every flow at once."""
+
+    @given(
+        padded_incidences(),
+        st.sampled_from([1e-9, 0.05]),
+        st.booleans(),
+    )
+    def test_declines_or_matches_full_fill(self, incidence, tie_eps, need_loads):
+        capacities, rows = incidence
+        counts = np.bincount(rows.reshape(-1), minlength=len(capacities))
+        full = _full_fill(capacities, rows, tie_eps=tie_eps, need_loads=need_loads)
+        level = single_level_allocation(
+            capacities, rows, counts, tie_eps=tie_eps, need_loads=need_loads
+        )
+        # Every later filling level grants strictly more than the first
+        # (by over tie_eps relative), so equal rates mean one level.
+        one_level = bool(np.all(full.rates == full.rates.min()))
+        if level is None:
+            assert not one_level
+            return
+        assert np.array_equal(np.full(len(rows), level.share), full.rates)
+        assert np.array_equal(counts, full.link_flow_count)
+        if need_loads:
+            assert np.array_equal(level.link_load, full.link_load)
+            assert np.array_equal(level.saturated, full.saturated)
+        else:
+            assert level.link_load is None and level.saturated is None
+
+    def test_shared_bottleneck_is_one_level(self):
+        rows = np.array([[0, 1], [0, 2], [0, 2]])
+        capacities = np.array([30.0, 100.0, 100.0])
+        counts = np.bincount(rows.reshape(-1), minlength=3)
+        level = single_level_allocation(capacities, rows, counts, tie_eps=1e-9)
+        assert level is not None and level.share == 10.0
+
+    def test_two_levels_decline(self):
+        # The textbook example: A=5, B=5, C=15 needs a second level.
+        rows = np.array([[0, 1], [0, 2], [1, 2]])
+        capacities = np.array([10.0, 20.0, np.inf])
+        counts = np.bincount(rows.reshape(-1), minlength=3)
+        assert single_level_allocation(capacities, rows, counts, tie_eps=1e-9) is None
+
+    @pytest.mark.parametrize("tie_eps", (1e-9, 0.05))
+    @pytest.mark.parametrize("ratio", (0.5, 1.5))
+    def test_tie_band_edge(self, tie_eps, ratio):
+        # Link 1's fair share sits just inside (ratio 0.5) or just
+        # outside (1.5) the tie band of link 0's: one level or two.
+        capacities = np.array([10.0, 10.0 * (1.0 + ratio * tie_eps)])
+        rows = np.array([[0], [1]])
+        counts = np.ones(2, dtype=np.int64)
+        level = single_level_allocation(capacities, rows, counts, tie_eps=tie_eps)
+        full = _full_fill(capacities, rows, tie_eps=tie_eps)
+        assert (level is None) == (ratio > 1.0)
+        if level is not None:
+            assert np.array_equal(np.full(2, level.share), full.rates)
+
+    def test_rejects_empty_active_set(self):
+        with pytest.raises(ValueError, match="no flows"):
+            single_level_allocation(
+                np.array([1.0]), np.empty((0, 1), dtype=np.int64),
+                np.zeros(1, dtype=np.int64), tie_eps=1e-9,
+            )
+
+    def test_rejects_exact_fill(self):
+        with pytest.raises(ValueError, match="tie_eps"):
+            single_level_allocation(
+                np.array([1.0]), np.zeros((1, 1), dtype=np.int64),
+                np.ones(1, dtype=np.int64), tie_eps=0.0,
+            )
