@@ -7,7 +7,9 @@ is unused: the communication structure of ``direct``, ``rounds``,
 ``bruck``, ``ring`` and the ``alltoallv_*`` variants depends only on
 ``(n, msg_size/matrix)`` — never on wildcards, message contents, or the
 simulation clock.  This module exploits that: it *records* one dry run
-of each rank's generator and emits a :class:`LoweredProgram`, a static
+of each rank's generator — through the runtime's own
+:class:`~repro.simmpi.runtime.RankContext`, with a recorder standing in
+for the runtime — and emits a :class:`LoweredProgram`, a static
 schedule of
 
 * **messages** — every send with its (src, dst, tag, payload) and the
@@ -34,12 +36,13 @@ callers fall back to the reference interpreter for those.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Generator, Iterable
+from typing import Any, Generator
 
 import numpy as np
 
 from ..exceptions import LoweringError
 from .request import ANY_SOURCE, ANY_TAG
+from .runtime import RankContext, as_requests
 
 __all__ = [
     "LoweredMessage",
@@ -177,44 +180,13 @@ class _RecordedRecv:
         self.segment = -1
 
 
-class _RecordingContext:
-    """Stand-in for :class:`~repro.simmpi.runtime.RankContext` that records."""
-
-    def __init__(self, recorder: "_Recorder", rank: int) -> None:
-        self._recorder = recorder
-        self.rank = rank
-
-    @property
-    def size(self) -> int:
-        return self._recorder.nprocs
-
-    def isend(self, dst: int, nbytes: int, *, tag: int = 0) -> _SendToken:
-        return self._recorder.record_send(self.rank, int(dst), int(nbytes), int(tag))
-
-    def irecv(self, src: int = ANY_SOURCE, *, tag: int = ANY_TAG) -> _RecvToken:
-        return self._recorder.record_recv(self.rank, int(src), int(tag))
-
-    def sendrecv(
-        self, dst: int, nbytes: int, src: int, *, tag: int = 0
-    ) -> Generator[Any, None, _RecvToken]:
-        send_tok = self.isend(dst, nbytes, tag=tag)
-        recv_tok = self.irecv(src, tag=tag)
-        yield [send_tok, recv_tok]
-        return recv_tok
-
-    def local_copy(self, nbytes: int) -> None:
-        self._recorder.record_copy(self.rank, int(nbytes))
-
-    @property
-    def now(self) -> float:
-        raise LoweringError(
-            "rank program reads ctx.now: time-dependent programs cannot "
-            "be lowered to a static schedule (use the fluid engine)"
-        )
-
-
 class _Recorder:
-    """Accumulates recorded operations while one rank's generator runs."""
+    """Accumulates recorded operations while one rank's generator runs.
+
+    It stands behind a :class:`~repro.simmpi.runtime.RankContext` in
+    place of the runtime, so programs see the same API (and the same
+    argument checks) while being lowered.
+    """
 
     def __init__(self, nprocs: int) -> None:
         self.nprocs = nprocs
@@ -224,11 +196,14 @@ class _Recorder:
         self._send_seq: dict[tuple[int, int], int] = {}
         self._current_ops: list[tuple] = []
 
-    def record_send(self, rank: int, dst: int, nbytes: int, tag: int) -> _SendToken:
-        if nbytes < 0:
-            raise ValueError("message size must be >= 0")
-        if not 0 <= dst < self.nprocs:
-            raise ValueError(f"destination rank {dst} out of range")
+    @property
+    def now(self) -> float:
+        raise LoweringError(
+            "rank program reads ctx.now: time-dependent programs cannot "
+            "be lowered to a static schedule (use the fluid engine)"
+        )
+
+    def _isend(self, rank: int, dst: int, nbytes: int, tag: int) -> _SendToken:
         key = (rank, dst)
         seq = self._send_seq.get(key, 0)
         self._send_seq[key] = seq + 1
@@ -237,22 +212,20 @@ class _Recorder:
         self._current_ops.append(("send", send))
         return _SendToken(send.mid)
 
-    def record_recv(self, rank: int, src: int, tag: int) -> _RecvToken:
+    def _irecv(self, rank: int, src: int, tag: int) -> _RecvToken:
         if src == ANY_SOURCE or tag == ANY_TAG:
             raise LoweringError(
                 "rank program posts a wildcard receive (ANY_SOURCE/ANY_TAG): "
                 "its matching depends on runtime arrival order and cannot "
                 "be lowered (use the fluid engine)"
             )
-        if not 0 <= src < self.nprocs:
-            raise ValueError(f"source rank {src} out of range")
         recvs = self.recvs_by_rank[rank]
         recv = _RecordedRecv(rank, len(recvs), src, tag)
         recvs.append(recv)
         self._current_ops.append(("recv", recv))
         return _RecvToken(rank, recv.index)
 
-    def record_copy(self, rank: int, nbytes: int) -> None:
+    def _local_copy(self, rank: int, nbytes: int) -> None:
         self.copies.append((rank, nbytes))
         self._current_ops.append(("copy", nbytes))
 
@@ -262,39 +235,24 @@ class _Recorder:
         return ops
 
 
-def _as_tokens(yielded: Any) -> list:
-    """Mirror ``Runtime._as_requests`` for recorded tokens."""
-    if isinstance(yielded, (_SendToken, _RecvToken)):
-        return [yielded]
-    if isinstance(yielded, Iterable):
-        tokens = list(yielded)
-        if not all(isinstance(t, (_SendToken, _RecvToken)) for t in tokens):
-            raise TypeError("programs must yield Request objects")
-        return tokens
-    raise TypeError(
-        f"programs must yield Request or iterable of Request, got {yielded!r}"
-    )
-
-
 def lower_program(
     program, nprocs: int, *args: Any, **kwargs: Any
 ) -> LoweredProgram:
     """Compile *program* at *nprocs* ranks into a :class:`LoweredProgram`.
 
     The program is called exactly as the runtime would call it —
-    ``program(ctx, *args, **kwargs)`` per rank — against a recording
-    context.  Raises :class:`~repro.exceptions.LoweringError` for
-    programs that cannot be scheduled statically, and mirrors the
-    runtime's :class:`ValueError`/:class:`TypeError` contracts for
-    malformed programs.
+    ``program(ctx, *args, **kwargs)`` per rank — with the runtime's own
+    :class:`~repro.simmpi.runtime.RankContext` over a recorder, so
+    malformed programs raise the runtime's :class:`ValueError`/
+    :class:`TypeError`.  Raises :class:`~repro.exceptions.LoweringError`
+    for programs that cannot be scheduled statically.
     """
     if nprocs < 1:
         raise ValueError("need at least one rank")
     recorder = _Recorder(nprocs)
     raw_segments: list[list[tuple]] = []  # [rank] -> [(ops, gate_tokens|None)]
     for rank in range(nprocs):
-        ctx = _RecordingContext(recorder, rank)
-        gen = program(ctx, *args, **kwargs)
+        gen = program(RankContext(recorder, rank), *args, **kwargs)
         if not isinstance(gen, Generator):
             raise TypeError(
                 "rank program must be a generator function "
@@ -307,7 +265,8 @@ def lower_program(
             except StopIteration:
                 spans.append((recorder.take_ops(), None))
                 break
-            spans.append((recorder.take_ops(), tuple(_as_tokens(yielded))))
+            tokens = as_requests(yielded, (_SendToken, _RecvToken))
+            spans.append((recorder.take_ops(), tuple(tokens)))
         raw_segments.append(spans)
 
     # Stamp send segments and receive segments on the recorded ops.

@@ -223,6 +223,7 @@ class FluidNetwork:
         self.max_concurrent = 0
         self.resolves = 0
         self.epochs = 0
+        self.solve_reuses = 0  # every resolve solves
 
     # ------------------------------------------------------------------
     # Public API
@@ -496,27 +497,11 @@ class FluidNetwork:
         moved = flow.remaining_at_last_loss - flow.remaining
         if moved >= self._loss_params.backoff_reset_bytes:
             flow.backoff = 0
-        penalty = self._loss_params.rto(flow.backoff)
-        flow.backoff += 1
-        flow.losses += 1
-        self.total_losses += 1
-        # Chained timeouts: the retransmission may itself be dropped,
-        # doubling the backoff before any data moves (Fig. 3 outliers).
-        # Probability decays per chain: congestion drains while the flow
-        # is silent, so deep chains are rare (see LossParams.chain_decay).
-        chain = self._loss_params.chain_probability
-        chained = 0
-        while (
-            chain > 0
-            and chained < self._loss_params.chain_max
-            and self._rng.random() < chain
-        ):
-            penalty += self._loss_params.rto(flow.backoff)
-            flow.backoff += 1
-            flow.losses += 1
-            self.total_losses += 1
-            chained += 1
-            chain *= self._loss_params.chain_decay
+        penalty, flow.backoff, losses = self._loss_params.timeout(
+            flow.backoff, self._rng
+        )
+        flow.losses += losses
+        self.total_losses += losses
         flow.remaining_at_last_loss = flow.remaining
 
         flow.state = FlowState.STALLED

@@ -108,6 +108,27 @@ class LossParams:
         """Timeout duration for the given consecutive-loss count."""
         return float(min(self.rto_min * (2.0 ** max(backoff, 0)), self.rto_max))
 
+    def timeout(self, backoff: int, rng: np.random.Generator) -> tuple[float, int, int]:
+        """One loss detected at *backoff*: ``(penalty, new backoff, losses)``.
+
+        The penalty is the RTO, plus one more (at doubled backoff) for
+        every chained timeout: the retransmission may itself be dropped
+        before any data moves (Fig. 3 outliers).  Each chain link draws
+        one ``rng.random()`` against a probability that starts at
+        ``chain_probability`` and decays by ``chain_decay``, at most
+        ``chain_max`` times; *losses* counts the first loss too.
+        """
+        penalty = self.rto(backoff)
+        backoff += 1
+        losses = 1
+        chain = self.chain_probability
+        while chain > 0 and losses <= self.chain_max and rng.random() < chain:
+            penalty += self.rto(backoff)
+            backoff += 1
+            losses += 1
+            chain *= self.chain_decay
+        return penalty, backoff, losses
+
 
 class LossModel:
     """Computes per-flow loss hazards from an allocation snapshot."""

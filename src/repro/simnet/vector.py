@@ -26,12 +26,15 @@ the rate is then kept as a scalar, so the advance and time-to-completion
 steps build no per-flow rate array.  The other epochs run the full
 solve on the maintained incidence.
 
-The protocol timeline (submit costs, eager/rendezvous handshakes,
+The message protocol (submit costs, eager/rendezvous handshakes,
 per-pair FIFO wire channels, sender concurrency caps, receiver demux)
-replays the reference runtime's arithmetic event for event on the same
-:class:`~repro.simnet.engine.Engine` kernel, so with jitter disabled
-the two engines agree to floating-point roundoff; the fluid engine
-remains the correctness oracle (see ``repro.engines``).
+is :class:`~repro.simmpi.protocol.MessageProtocol`, which
+:class:`VectorSimulator` subclasses like the reference runtime does; it
+adds only its driver (lowered segments instead of generators), static
+receive pairing instead of wildcard queues, and this flow core.  With
+jitter disabled the two engines therefore agree to floating-point
+roundoff; the fluid engine remains the correctness oracle (see
+``repro.engines``).
 
 The TCP loss overlay (:mod:`repro.simnet.loss`) is vectorized over the
 flow batch instead of replayed per flow.  Each flow carries a unit-rate
@@ -73,28 +76,24 @@ Not supported: programs that cannot be lowered (wildcards,
 
 from __future__ import annotations
 
-import math
 from itertools import chain
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..exceptions import DeadlockError, SimulationError
-from .engine import Engine, EventHandle
+from ..exceptions import SimulationError
+from ..simmpi.protocol import MessageProtocol, RunResult
+from ..simmpi.transport import TransportParams
+from .engine import EventHandle
 from .fairness import FlowPaths, max_min_allocation, single_level_allocation
 from .fluid import _BYTE_EPS, _RESOLVE_PRIORITY
 from .loss import LossModel, LossParams
 from .penalty import HolPenalty
-from .resources import SenderScheduler, SerialResource
-from .rng import RngFactory
-from .stats import SimStats
 from .topology import Topology
-from .trace import NullTrace, Trace
+from .trace import Trace
 
-if TYPE_CHECKING:  # pragma: no cover - typing only (avoids import cycle)
+if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..simmpi.lowering import LoweredProgram
-    from ..simmpi.runtime import RunResult
-    from ..simmpi.transport import TransportParams
 
 __all__ = ["VectorSimulator"]
 
@@ -122,27 +121,17 @@ _LOSSY_TIE_EPS = 0.05
 _BUDGET_EPS = 1e-9
 
 
-class _RankState:
-    __slots__ = ("next_segment", "finished", "finish_time", "waiting")
-
-    def __init__(self) -> None:
-        self.next_segment = 0
-        self.finished = False
-        self.finish_time = math.nan
-        self.waiting = 0
-
-
-class VectorSimulator:
+class VectorSimulator(MessageProtocol):
     """Executes a :class:`~repro.simmpi.lowering.LoweredProgram`.
 
-    Constructor parameters mirror :class:`~repro.simmpi.runtime.Runtime`
+    Constructor parameters are those of :class:`~repro.simmpi.runtime.Runtime`
     so cluster profiles drive both engines identically.
     """
 
     def __init__(
         self,
         topology: Topology,
-        transport: "TransportParams",
+        transport: TransportParams,
         *,
         nprocs: int | None = None,
         loss_params: LossParams | None = None,
@@ -152,27 +141,13 @@ class VectorSimulator:
         trace: Trace | None = None,
         timeline=None,
     ) -> None:
-        self.nprocs = topology.n_hosts if nprocs is None else int(nprocs)
-        if self.nprocs < 1:
-            raise ValueError("need at least one rank")
-        if self.nprocs > topology.n_hosts:
-            raise ValueError(
-                f"nprocs={self.nprocs} exceeds hosts={topology.n_hosts}"
-            )
-        if start_skew_scale < 0:
-            raise ValueError("start_skew_scale must be >= 0")
-        self.topology = topology
-        self.transport = transport
-        self.trace = trace if trace is not None else NullTrace()
+        super().__init__(
+            topology, transport, nprocs=nprocs,
+            start_skew_scale=start_skew_scale, seed=seed, trace=trace,
+        )
         self._tracing = self.trace.enabled
         self._timeline = timeline
         self._inject_time: dict[int, float] = {}
-        self.engine = Engine()
-        rng_factory = RngFactory(seed)
-        self._rng_factory = rng_factory
-        self._jitter_rng = rng_factory.stream("mpi/jitter")
-        self._skew_rng = rng_factory.stream("mpi/skew")
-        self._start_skew_scale = start_skew_scale
         # Per-link vectors carry one extra entry: the sentinel link that
         # pads ragged routes (infinite capacity, so it never ties or
         # saturates, and its overload and HOL penalty are moot).
@@ -194,17 +169,9 @@ class VectorSimulator:
         else:
             self._hol = None
             self._hol_eta = None
-        self._started = False
 
         # Filled by _setup() once the lowered schedule is known.
         self._segments: tuple = ()
-        self._msg_src: list[int] = []
-        self._msg_dst: list[int] = []
-        self._msg_nbytes: list[int] = []
-        self._msg_seq: list[int] = []
-        self._msg_local: list[bool] = []
-        self._msg_eager: list[bool] = []
-        self._msg_submit: list[float] = []
         self._msg_wire: np.ndarray = np.empty(0)
         self._msg_dst_arr: np.ndarray = np.empty(0, dtype=np.int64)
         self._msg_src_arr: np.ndarray = np.empty(0, dtype=np.int64)
@@ -244,24 +211,13 @@ class VectorSimulator:
         self._resolve_event: EventHandle | None = None
         self._completion_event: EventHandle | None = None
 
-        # Protocol state.
-        self._ranks = [_RankState() for _ in range(self.nprocs)]
-        self._schedulers = [
-            SenderScheduler(self._inject, transport.sender_concurrency)
-            for _ in range(self.nprocs)
-        ]
-        self._mux = [
-            SerialResource(self.engine, name=f"host{h}.rxcpu")
-            for h in range(self.nprocs)
-        ]
+        # Driver and static-matching state.
+        self._next_segment = [0] * self.nprocs
         self._send_done: list[bool] = []
         self._recv_done: list[bool] = []
         self._recv_posted: list[bool] = []
         self._env_processed: list[bool] = []
-        self._matched: list[bool] = []
         self._watchers: dict[tuple[str, int], list[int]] = {}
-        self._recv_next: dict[tuple[int, int], int] = {}
-        self._reorder: dict[tuple[int, int], dict[int, int]] = {}
 
         # Aggregate statistics.
         self.flows_completed = 0
@@ -280,21 +236,21 @@ class VectorSimulator:
     def _setup(self, lowered: "LoweredProgram") -> None:
         transport = self.transport
         self._segments = lowered.segments
-        n_messages = len(lowered.messages)
+        messages = lowered.messages
+        n_messages = len(messages)
+        self._src = [m.src for m in messages]
+        self._dst = [m.dst for m in messages]
+        self._nbytes = [m.nbytes for m in messages]
+        self._seq = [m.seq for m in messages]
+        self._local = [m.local for m in messages]
+        self._eager = [transport.is_eager(m.nbytes) for m in messages]
         pair_ids: dict[tuple[int, int], int] = {}
         routes: list[tuple[int, ...]] = []
         wire = np.zeros(n_messages, dtype=np.float64)
         # Local messages never reach the flow core; they keep pair -1,
         # the all-sentinel row.
         pair = np.full(n_messages, -1, dtype=np.int64)
-        for m in lowered.messages:
-            self._msg_src.append(m.src)
-            self._msg_dst.append(m.dst)
-            self._msg_nbytes.append(m.nbytes)
-            self._msg_seq.append(m.seq)
-            self._msg_local.append(m.local)
-            self._msg_eager.append(transport.is_eager(m.nbytes))
-            self._msg_submit.append(transport.submit_cost(m.nbytes))
+        for m in messages:
             if not m.local:
                 key = (m.src, m.dst)
                 pid = pair_ids.get(key)
@@ -305,8 +261,8 @@ class VectorSimulator:
                 pair[m.mid] = pid
                 wire[m.mid] = transport.wire_bytes(m.nbytes)
         self._msg_wire = wire
-        self._msg_dst_arr = np.asarray(self._msg_dst, dtype=np.int64)
-        self._msg_src_arr = np.asarray(self._msg_src, dtype=np.int64)
+        self._msg_dst_arr = np.asarray(self._dst, dtype=np.int64)
+        self._msg_src_arr = np.asarray(self._src, dtype=np.int64)
         lengths = np.fromiter(map(len, routes), dtype=np.int64, count=len(routes))
         width = int(lengths.max()) if len(routes) else 1
         pair_rows = np.full((len(routes) + 1, width), self._sentinel, dtype=np.int64)
@@ -333,7 +289,6 @@ class VectorSimulator:
         self._recv_done = [False] * n_messages
         self._recv_posted = [False] * n_messages
         self._env_processed = [False] * n_messages
-        self._matched = [False] * n_messages
 
     # ------------------------------------------------------------------
     # Run loop
@@ -341,65 +296,29 @@ class VectorSimulator:
 
     def run(
         self, lowered: "LoweredProgram", *, max_events: int | None = None
-    ) -> "RunResult":
+    ) -> RunResult:
         """Execute the schedule; returns the reference-shaped result."""
-        from ..simmpi.runtime import RunResult
-
         if lowered.nprocs != self.nprocs:
             raise ValueError(
                 f"schedule has {lowered.nprocs} ranks, simulator has "
                 f"{self.nprocs}"
             )
-        if self._started:
-            raise SimulationError("VectorSimulator.run may only be called once")
-        self._started = True
+        self._start()
         self._setup(lowered)
-        for rank in range(self.nprocs):
-            skew = (
-                float(self._skew_rng.uniform(0.0, self._start_skew_scale))
-                if self._start_skew_scale > 0
-                else 0.0
-            )
-            self.engine.schedule(skew, lambda r=rank: self._advance(r))
-        self.engine.run(max_events=max_events)
-        unfinished = [r for r, s in enumerate(self._ranks) if not s.finished]
-        if unfinished:
-            raise DeadlockError(
-                f"ranks {unfinished} blocked with no pending events "
-                "(mismatched sends/receives?)"
-            )
-        finish = [s.finish_time for s in self._ranks]
-        return RunResult(
-            duration=max(finish),
-            rank_finish_times=finish,
-            events_processed=self.engine.events_processed,
-            flows_completed=self.flows_completed,
-            total_losses=self.total_losses,
-            max_concurrent_flows=self.max_concurrent,
-            trace=self.trace,
-            stats=SimStats(
-                engine="vector",
-                resolves=self.resolves,
-                epochs=self.epochs,
-                events=self.engine.events_processed,
-                losses=self.total_losses,
-                stalls=self.stalls,
-                solve_reuses=self.solve_reuses,
-            ),
-        )
+        return self._execute("vector", self, max_events)
 
     def _advance(self, rank: int) -> None:
         """Post segments until one blocks (the lowered ``Waitall`` loop)."""
-        state = self._ranks[rank]
         segments = self._segments[rank]
         while True:
-            segment = segments[state.next_segment]
+            index = self._next_segment[rank]
+            segment = segments[index]
             if self._tracing:
                 self.trace.emit(
                     self.engine.now, "vector.phase", rank=rank,
-                    segment=state.next_segment, ops=len(segment.ops),
+                    segment=index, ops=len(segment.ops),
                 )
-            state.next_segment += 1
+            self._next_segment[rank] = index + 1
             for op in segment.ops:
                 kind = op[0]
                 if kind == "send":
@@ -408,12 +327,11 @@ class VectorSimulator:
                     self._post_recv(op[1])
                 # "copy": zero simulated time, nothing to schedule.
             if segment.gate is None:
-                state.finished = True
-                state.finish_time = self.engine.now
+                self._finish[rank] = self.engine.now
                 return
             pending = [tok for tok in segment.gate if not self._token_done(tok)]
             if pending:
-                state.waiting = len(pending)
+                self._waiting[rank] = len(pending)
                 for token in pending:
                     self._watchers.setdefault(token, []).append(rank)
                 return
@@ -424,88 +342,26 @@ class VectorSimulator:
         return self._send_done[mid] if kind == "send" else self._recv_done[mid]
 
     def _notify(self, token: tuple[str, int]) -> None:
-        watchers = self._watchers.pop(token, None)
-        if not watchers:
-            return
-        for rank in watchers:
-            state = self._ranks[rank]
-            state.waiting -= 1
-            if state.waiting == 0 and not state.finished:
-                self.engine.schedule(
-                    self.engine.now, lambda r=rank: self._advance(r)
-                )
-
-    # ------------------------------------------------------------------
-    # Protocol timeline (mirrors the reference runtime arithmetic)
-    # ------------------------------------------------------------------
-
-    def _jitter(self) -> float:
-        scale = self.transport.jitter_scale
-        if scale <= 0:
-            return 0.0
-        return float(self._jitter_rng.exponential(scale))
-
-    def _post_send(self, mid: int) -> None:
-        if self._msg_local[mid]:
-            delay = self.transport.local_copy_time(self._msg_nbytes[mid])
-            self.engine.schedule_after(delay, lambda: self._local_deliver(mid))
-            return
-        submit_delay = self._jitter() + self._msg_submit[mid]
-        if self._msg_eager[mid]:
-            src, dst = self._msg_src[mid], self._msg_dst[mid]
-            self.engine.schedule_after(
-                submit_delay, lambda: self._schedulers[src].submit(dst, mid)
-            )
-        else:
-            rts_delay = (
-                submit_delay
-                + self.transport.ctrl_overhead
-                + self.transport.base_latency
-            )
-            self.engine.schedule_after(
-                rts_delay, lambda: self._envelope_in_order(mid)
-            )
+        for rank in self._watchers.pop(token, ()):
+            self._unblock(rank)
 
     def _post_recv(self, mid: int) -> None:
         self._recv_posted[mid] = True
         # The statically-paired envelope may already have arrived and be
-        # waiting "unexpected"; claiming it now mirrors the runtime's
+        # waiting "unexpected"; claiming it now is the runtime's
         # unexpected-queue scan at post time.
-        if self._env_processed[mid] and not self._matched[mid]:
+        if self._env_processed[mid]:
             self._match(mid)
 
-    def _local_deliver(self, mid: int) -> None:
-        self._complete_send(mid)
-        self._envelope_in_order(mid)
-
-    def _envelope_in_order(self, mid: int) -> None:
-        """Process envelope arrivals strictly in per-pair send order."""
-        key = (self._msg_src[mid], self._msg_dst[mid])
-        expected = self._recv_next.get(key, 0)
-        buffer = self._reorder.setdefault(key, {})
-        buffer[self._msg_seq[mid]] = mid
-        while expected in buffer:
-            self._process_envelope(buffer.pop(expected))
-            expected += 1
-        self._recv_next[key] = expected
+    # ------------------------------------------------------------------
+    # Protocol hooks
+    # ------------------------------------------------------------------
 
     def _process_envelope(self, mid: int) -> None:
         self._env_processed[mid] = True
-        if self._recv_posted[mid] and not self._matched[mid]:
+        if self._recv_posted[mid]:
             self._match(mid)
         # Else: the envelope waits for its receive (unexpected queue).
-
-    def _match(self, mid: int) -> None:
-        self._matched[mid] = True
-        if self._msg_eager[mid] or self._msg_local[mid]:
-            self._complete_recv(mid)
-        else:
-            # Rendezvous: CTS travels back, then the payload is submitted.
-            src, dst = self._msg_src[mid], self._msg_dst[mid]
-            delay = self.transport.ctrl_overhead + self.transport.base_latency
-            self.engine.schedule_after(
-                delay, lambda: self._schedulers[src].submit(dst, mid)
-            )
 
     def _complete_send(self, mid: int) -> None:
         self._send_done[mid] = True
@@ -515,36 +371,20 @@ class VectorSimulator:
         self._recv_done[mid] = True
         self._notify(("recv", mid))
 
-    def _wire_arrival(self, mid: int, inbound: int) -> None:
-        if self.transport.mux_applies(self._msg_nbytes[mid], inbound):
-            dst = self._msg_dst[mid]
-            self._mux[dst].request(
-                self.transport.mux_overhead, lambda: self._deliver(mid)
-            )
-        else:
-            self._deliver(mid)
-
-    def _deliver(self, mid: int) -> None:
-        if self._msg_eager[mid]:
-            self._envelope_in_order(mid)
-        else:
-            # Rendezvous payload: the receive was claimed at CTS time.
-            self._complete_recv(mid)
-
     # ------------------------------------------------------------------
     # Batched flow core (the epoch loop)
     # ------------------------------------------------------------------
 
     def _inject(self, mid: int) -> None:
         self._pending.append(mid)
-        self._inbound_open[self._msg_dst[mid]] += 1
-        self._outbound_open[self._msg_src[mid]] += 1
+        self._inbound_open[self._dst[mid]] += 1
+        self._outbound_open[self._src[mid]] += 1
         if self._tracing:
             self._inject_time[mid] = self.engine.now
             self.trace.emit(
                 self.engine.now, "flow.inject", fid=mid,
-                src=self._msg_src[mid], dst=self._msg_dst[mid],
-                nbytes=self._msg_nbytes[mid], label="",
+                src=self._src[mid], dst=self._dst[mid],
+                nbytes=self._nbytes[mid], label="",
             )
         if self._resolve_event is None or self._resolve_event.cancelled:
             self._resolve_event = self.engine.schedule(
@@ -592,7 +432,7 @@ class VectorSimulator:
                         start = self._inject_time.pop(mid, now)
                         self.trace.emit(
                             now, "flow.complete", fid=mid,
-                            src=self._msg_src[mid], dst=self._msg_dst[mid],
+                            src=self._src[mid], dst=self._dst[mid],
                             duration=now - start,
                             losses=int(self._flow_losses[mid]) if lossy else 0,
                             label="",
@@ -657,7 +497,7 @@ class VectorSimulator:
         # pump follow-up flows, which coalesce into one resolve at this
         # timestamp — the same cascade discipline as the fluid engine.
         for mid, inbound in zip(finished, finished_inbound):
-            self._on_flow_complete(int(mid), int(inbound))
+            self._flow_done(int(mid), int(inbound))
 
     def _drop(self, mask: np.ndarray) -> None:
         """Remove the active flows selected by *mask* (completed or stalled)."""
@@ -790,34 +630,18 @@ class VectorSimulator:
     def _stall(self, mid: int, remaining: float) -> None:
         """A loss fired for *mid*: apply RTO backoff and park the flow.
 
-        Mirrors the fluid engine's per-flow loss arithmetic (backoff
-        reset after loss-free progress, exponential RTO, chained
-        timeouts) over the array-resident state.
+        The fluid engine's per-flow loss arithmetic (backoff reset after
+        loss-free progress, then :meth:`LossParams.timeout`) over the
+        array-resident state.
         """
         params = self._loss_params
         assert params is not None
         self._flow_remaining[mid] = remaining
-        if self._bytes_since_loss[mid] >= params.backoff_reset_bytes:
-            self._backoff[mid] = 0
         backoff = int(self._backoff[mid])
-        penalty = params.rto(backoff)
-        backoff += 1
-        losses = 1
+        if self._bytes_since_loss[mid] >= params.backoff_reset_bytes:
+            backoff = 0
         rng = self._flow_rng(mid)
-        # Chained timeouts: the retransmission may itself be dropped,
-        # doubling the backoff before any data moves (Fig. 3 outliers).
-        chain = params.chain_probability
-        chained = 0
-        while (
-            chain > 0
-            and chained < params.chain_max
-            and rng.random() < chain
-        ):
-            penalty += params.rto(backoff)
-            backoff += 1
-            losses += 1
-            chained += 1
-            chain *= params.chain_decay
+        penalty, backoff, losses = params.timeout(backoff, rng)
         self._backoff[mid] = backoff
         self._bytes_since_loss[mid] = 0.0
         self._flow_losses[mid] += losses
@@ -831,7 +655,7 @@ class VectorSimulator:
         if self._tracing:
             self.trace.emit(
                 self.engine.now, "flow.stall", fid=mid,
-                src=self._msg_src[mid], dst=self._msg_dst[mid],
+                src=self._src[mid], dst=self._dst[mid],
                 penalty=penalty, backoff=backoff, remaining=remaining,
                 label="",
             )
@@ -844,21 +668,13 @@ class VectorSimulator:
         if self._tracing:
             self.trace.emit(
                 self.engine.now, "flow.resume", fid=mid,
-                src=self._msg_src[mid], dst=self._msg_dst[mid],
+                src=self._src[mid], dst=self._dst[mid],
                 remaining=float(self._flow_remaining[mid]), label="",
             )
         if self._resolve_event is None or self._resolve_event.cancelled:
             self._resolve_event = self.engine.schedule(
                 self.engine.now, self._resolve, priority=_RESOLVE_PRIORITY
             )
-
-    def _on_flow_complete(self, mid: int, inbound: int) -> None:
-        self._schedulers[self._msg_src[mid]].release(self._msg_dst[mid])
-        self._complete_send(mid)
-        self.engine.schedule_after(
-            self.transport.base_latency,
-            lambda: self._wire_arrival(mid, inbound),
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

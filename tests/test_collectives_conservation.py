@@ -32,7 +32,7 @@ from repro.simmpi.collectives import MATRIX_ALGORITHMS
 SCALAR_ALGORITHMS = sorted(set(ALGORITHMS.names()) - set(MATRIX_ALGORITHMS))
 
 
-class _RecordingContext:
+class _LoggingContext:
     """Stand-in for RankContext: records traffic, never simulates."""
 
     def __init__(self, rank: int, size: int, log: dict) -> None:
@@ -65,7 +65,7 @@ def run_algorithm(name: str, n: int, arg) -> dict:
     log = {"sends": [], "recvs": [], "local": [], "pairs": {}}
     program = ALGORITHMS.get(name)
     for rank in range(n):
-        ctx = _RecordingContext(rank, n, log)
+        ctx = _LoggingContext(rank, n, log)
         for _ in program(ctx, arg):
             pass  # requests would be waited on; accounting already done
 
@@ -216,7 +216,7 @@ class TestAlltoallvConservation:
     def test_wrong_shape_rejected(self, name):
         program = ALGORITHMS.get(name)
         log = {"sends": [], "recvs": [], "local": [], "pairs": {}}
-        ctx = _RecordingContext(0, 4, log)
+        ctx = _LoggingContext(0, 4, log)
         with pytest.raises(ValueError, match="matrix"):
             list(program(ctx, np.zeros((3, 3))))
         with pytest.raises(ValueError, match=">= 0"):

@@ -371,7 +371,7 @@ class TestLossyVector:
         )
         sim.run(lowered)
         remote = [
-            mid for mid in range(len(sim._msg_wire)) if not sim._msg_local[mid]
+            mid for mid in range(len(sim._msg_wire)) if not sim._local[mid]
         ][:4]
         # Admit through the engine's own entry point, so the resolve
         # sees the delta-maintained rows and link counts.

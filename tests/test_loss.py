@@ -54,6 +54,52 @@ class TestParams:
             LossParams(chain_probability=1.0)
 
 
+class _ScriptedRng:
+    """Hands out scripted ``random()`` draws in order and counts them."""
+
+    def __init__(self, draws) -> None:
+        self.draws = list(draws)
+        self.calls = 0
+
+    def random(self) -> float:
+        self.calls += 1
+        return self.draws.pop(0)
+
+
+class TestTimeout:
+    def test_single_rto_without_chaining(self):
+        rng = _ScriptedRng([])
+        params = LossParams(rto_min=0.2, rto_max=3.2)
+        assert params.timeout(1, rng) == (0.4, 2, 1)
+        assert rng.calls == 0
+
+    def test_chain_stops_at_first_failed_draw(self):
+        params = LossParams(chain_probability=0.5, chain_decay=1.0, chain_max=4)
+        rng = _ScriptedRng([0.1, 0.9, 0.0])
+        assert params.timeout(0, rng) == (0.2 + 0.4, 2, 2)
+        assert rng.calls == 2
+
+    @pytest.mark.parametrize("chain_max", [0, 1, 3])
+    def test_chain_max_caps_draws(self, chain_max):
+        params = LossParams(
+            rto_min=0.2, rto_max=0.8, chain_probability=0.9, chain_decay=1.0,
+            chain_max=chain_max,
+        )
+        rng = _ScriptedRng([0.0] * 10)
+        penalty, backoff, losses = params.timeout(0, rng)
+        assert (backoff, losses, rng.calls) == (chain_max + 1, chain_max + 1, chain_max)
+        # Every chained RTO doubles, up to rto_max.
+        assert penalty == pytest.approx(sum(params.rto(b) for b in range(chain_max + 1)))
+
+    def test_chain_decay_shrinks_probability(self):
+        # Link probabilities 0.8, 0.4, 0.2: a draw of 0.3 passes the
+        # first two links and fails the third.
+        params = LossParams(chain_probability=0.8, chain_decay=0.5, chain_max=10)
+        rng = _ScriptedRng([0.3, 0.3, 0.3, 0.0])
+        _, backoff, losses = params.timeout(2, rng)
+        assert (backoff, losses, rng.calls) == (5, 3, 3)
+
+
 class TestOverloads:
     def test_requires_saturation_and_excess_flows(self):
         model = _model()

@@ -3,13 +3,26 @@
 import pytest
 
 from repro.exceptions import DeadlockError
+from repro.simmpi.lowering import lower_program
 from repro.simmpi.request import ANY_SOURCE, ANY_TAG
 from repro.simmpi.runtime import Runtime
 from repro.simmpi.transport import TransportParams
 from repro.simnet.topology import single_switch
+from repro.simnet.vector import VectorSimulator
 
 
-def make_runtime(n=2, nic=100e6, **transport_kwargs) -> Runtime:
+class _LoweringVector(VectorSimulator):
+    """The vector engine, lowering each program it is asked to run."""
+
+    def run(self, program):
+        return super().run(lower_program(program, self.nprocs))
+
+
+#: Both engines, each with ``run(program)``.
+ENGINES = {"fluid": Runtime, "vector": _LoweringVector}
+
+
+def make_runtime(n=2, nic=100e6, engine="fluid", **transport_kwargs) -> Runtime:
     defaults = dict(
         name="test",
         base_latency=10e-6,
@@ -24,7 +37,7 @@ def make_runtime(n=2, nic=100e6, **transport_kwargs) -> Runtime:
     )
     defaults.update(transport_kwargs)
     topo = single_switch(n, nic_bandwidth=nic)
-    return Runtime(topo, TransportParams(**defaults), nprocs=n, seed=0)
+    return ENGINES[engine](topo, TransportParams(**defaults), nprocs=n, seed=0)
 
 
 class TestBasicSendRecv:
@@ -271,12 +284,13 @@ class TestLifecycle:
         with pytest.raises(DeadlockError):
             make_runtime().run(prog)
 
-    def test_run_twice_rejected(self):
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_run_twice_rejected(self, engine):
         def prog(ctx):
             return
             yield  # pragma: no cover
 
-        runtime = make_runtime()
+        runtime = make_runtime(engine=engine)
         runtime.run(prog)
         with pytest.raises(Exception, match="once"):
             runtime.run(prog)
@@ -302,21 +316,29 @@ class TestLifecycle:
         with pytest.raises(ValueError, match="destination"):
             make_runtime().run(prog)
 
-    def test_rank_finish_times_recorded(self):
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_rank_finish_times_recorded(self, engine):
         def prog(ctx):
             if ctx.rank == 0:
                 yield ctx.isend(1, 1000)
             else:
-                yield ctx.irecv(0)
+                yield ctx.irecv(0, tag=0)
 
-        result = make_runtime().run(prog)
+        result = make_runtime(engine=engine).run(prog)
         assert len(result.rank_finish_times) == 2
         assert result.duration == max(result.rank_finish_times)
 
-    def test_nprocs_beyond_hosts_rejected(self):
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_nprocs_beyond_hosts_rejected(self, engine):
         topo = single_switch(2, nic_bandwidth=1e8)
         with pytest.raises(ValueError, match="exceeds"):
-            Runtime(topo, TransportParams(), nprocs=5)
+            ENGINES[engine](topo, TransportParams(), nprocs=5)
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_negative_start_skew_rejected(self, engine):
+        topo = single_switch(2, nic_bandwidth=1e8)
+        with pytest.raises(ValueError, match="start_skew_scale"):
+            ENGINES[engine](topo, TransportParams(), start_skew_scale=-1e-6)
 
     def test_sendrecv_helper(self):
         def prog(ctx):
@@ -326,18 +348,19 @@ class TestLifecycle:
 
         make_runtime().run(prog)
 
-    def test_start_skew_shifts_completion(self):
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_start_skew_shifts_completion(self, engine):
         def prog(ctx):
             if ctx.rank == 0:
                 yield ctx.isend(1, 1000)
             else:
-                yield ctx.irecv(0)
+                yield ctx.irecv(0, tag=0)
 
         topo = single_switch(2, nic_bandwidth=100e6)
         params = TransportParams(jitter_scale=0.0)
-        no_skew = Runtime(topo, params, nprocs=2, seed=1).run(prog)
+        no_skew = ENGINES[engine](topo, params, nprocs=2, seed=1).run(prog)
         topo2 = single_switch(2, nic_bandwidth=100e6)
-        skewed = Runtime(
+        skewed = ENGINES[engine](
             topo2, params, nprocs=2, seed=1, start_skew_scale=0.5
         ).run(prog)
         assert skewed.duration > no_skew.duration
