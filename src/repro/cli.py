@@ -48,6 +48,11 @@ committed baselines (nonzero exit on regression)::
     python -m repro.cli bench compare --baseline benchmarks/baselines/ \
         benchmarks/output/
 
+Exit codes: 0 when the command succeeded, 1 when the work failed (a
+sweep point, a fit, a search, a regression gate), 2 when the input was
+rejected before work began (unknown names, unreadable or malformed
+scenario files, bad flag values).
+
 Every ``run``/``sweep``/``fit``/``characterize``/``compare-models``
 invocation appends a fingerprinted entry (git sha, python/numpy, cpu
 count, wall time, metrics snapshot) to the ledger —
@@ -58,6 +63,9 @@ path or disables it (``REPRO_LEDGER=off``).
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
+import functools
 import os
 import sys
 
@@ -134,15 +142,43 @@ def _ledger_note(**fields) -> None:
         _ACTIVE_LEDGER.note(**fields)
 
 
+class _Exit(Exception):
+    """End the command with exit *code*, printing *message* (if any) to stderr.
+
+    Handlers raise it; only :func:`main` turns it into an exit code.
+    """
+
+    def __init__(self, code: int, message: object = None) -> None:
+        super().__init__(message)
+        self.code = code
+        self.message = message
+
+
+#: What a failed piece of work raises (exit 1 unless a handler says
+#: otherwise).
+_WORK_ERRORS = (FittingError, MeasurementError, ScenarioError, SimulationError)
+
+
+@contextlib.contextmanager
+def _failing(prefix: str | None, *errors: type[Exception], code: int = 1):
+    """Turn *errors* (default: the work errors) raised in the block into
+    ``_Exit(code, "prefix: error")`` — the bare error without a prefix."""
+    try:
+        yield
+    except (errors or _WORK_ERRORS) as exc:
+        raise _Exit(code, f"{prefix}: {exc}" if prefix else exc) from exc
+
+
 def _doc_summary(obj) -> str:
     """First docstring line, or empty (user plugins may be undocumented)."""
     lines = (obj.__doc__ or "").splitlines()
     return lines[0].strip() if lines else ""
 
 
-#: Sections of ``repro-alltoall list`` (name -> row enumerator).
-#: Enumerators must emit sorted rows (registry ``names()`` already are;
-#: plain dicts like EXPERIMENTS are sorted here) so the listing is
+#: Sections of ``repro-alltoall list``: a registry (one row per
+#: canonical name, described by the entry's first docstring line) or a
+#: row enumerator.  Rows come out sorted (registry ``names()`` already
+#: are; plain dicts like EXPERIMENTS are sorted here) so the listing is
 #: byte-stable across runs regardless of registration order.
 _LIST_SECTIONS = {
     "experiments": lambda: [
@@ -153,39 +189,15 @@ _LIST_SECTIONS = {
         (name, api.CLUSTERS.get(name)().description)
         for name in api.list_clusters()
     ],
-    "topologies": lambda: [
-        (name, _doc_summary(api.TOPOLOGIES.get(name)))
-        for name in api.list_topologies()
-    ],
-    "algorithms": lambda: [
-        (name, _doc_summary(api.ALGORITHMS.get(name)))
-        for name in api.list_algorithms()
-    ],
-    "patterns": lambda: [
-        (name, _doc_summary(api.PATTERNS.get(name)))
-        for name in api.list_patterns()
-    ],
+    "topologies": api.TOPOLOGIES,
+    "algorithms": api.ALGORITHMS,
+    "patterns": api.PATTERNS,
     "backends": lambda: [(name, "") for name in api.list_backends()],
-    "executors": lambda: [
-        (name, _doc_summary(api.EXECUTORS.get(name)))
-        for name in api.list_executors()
-    ],
-    "models": lambda: [
-        (name, _doc_summary(api.MODELS.get(name)))
-        for name in api.list_models()
-    ],
-    "engines": lambda: [
-        (name, _doc_summary(api.ENGINES.get(name)))
-        for name in api.list_engines()
-    ],
-    "placements": lambda: [
-        (name, _doc_summary(api.PLACEMENTS.get(name)))
-        for name in api.list_placements()
-    ],
-    "placement-optimizers": lambda: [
-        (name, _doc_summary(api.PLACEMENT_OPTIMIZERS.get(name)))
-        for name in api.list_placement_optimizers()
-    ],
+    "executors": api.EXECUTORS,
+    "models": api.MODELS,
+    "engines": api.ENGINES,
+    "placements": api.PLACEMENTS,
+    "placement-optimizers": api.PLACEMENT_OPTIMIZERS,
     "trace-formats": lambda: [
         (name, _doc_summary(fn))
         for name, fn in sorted(EXPORT_FORMATS.items())
@@ -193,7 +205,7 @@ _LIST_SECTIONS = {
 }
 
 
-def _cmd_list(args: argparse.Namespace) -> int:
+def _cmd_list(args: argparse.Namespace) -> None:
     # Sections print alphabetically, not in dict-insertion order, so
     # the full listing is deterministic and diffs cleanly as new
     # sections are registered.
@@ -201,7 +213,10 @@ def _cmd_list(args: argparse.Namespace) -> int:
         sorted(_LIST_SECTIONS) if args.what in (None, "all") else [args.what]
     )
     for position, section in enumerate(wanted):
-        rows = _LIST_SECTIONS[section]()
+        source = _LIST_SECTIONS[section]
+        rows = source() if callable(source) else [
+            (name, _doc_summary(source.get(name))) for name in source.names()
+        ]
         if len(wanted) > 1:
             if position:
                 print()
@@ -209,61 +224,64 @@ def _cmd_list(args: argparse.Namespace) -> int:
         width = max(len(name) for name, _ in rows)
         for name, description in rows:
             print(f"  {name:<{width}}  {description}".rstrip())
-    return 0
 
 
-def _check_engine(name: "str | None") -> bool:
-    """Validate an ``--engine`` value *before* any simulation starts.
+#: Suffixes that make a ``<cluster>`` argument a scenario file.
+_SCENARIO_SUFFIXES = (".toml", ".json")
 
-    Downstream layers reject unknown engines too, but from mid-pipeline
-    (a :class:`ValueError` out of the sweep spec, a
-    :class:`MeasurementError` out of the measurement loop); checking here
-    keeps the failure a one-line stderr message with exit code 2, like
-    every other bad-name CLI error.
+
+def _scenario_file(path: str, **overrides) -> "api.Scenario":
+    """Load a scenario file, replacing the spec fields in *overrides*.
+
+    ``None`` overrides keep the file's value (``run``/``sweep
+    --scenario`` pass ``--engine``/``--placement`` through here).  An
+    unreadable path is a rejected input, like a malformed file.
     """
-    if name is not None and name not in api.ENGINES:
-        known = ", ".join(api.list_engines())
-        print(f"unknown engine {name!r}; known: {known}", file=sys.stderr)
-        return False
-    return True
+    with _failing(None, OSError, code=2):
+        scenario = api.Scenario.from_file(path)
+    changes = {k: v for k, v in overrides.items() if v is not None}
+    if not changes:
+        return scenario
+    return api.Scenario(dataclasses.replace(scenario.spec, **changes))
 
 
-def _with_engine(scenario: "api.Scenario", engine: str) -> "api.Scenario":
-    """The scenario with its engine field overridden from the CLI."""
-    import dataclasses
+def _target(args: argparse.Namespace, **workload) -> "api.Scenario":
+    """The ``cluster`` positional: a registered cluster or a scenario file.
 
-    return api.Scenario(dataclasses.replace(scenario.spec, engine=engine))
-
-
-def _with_placement(scenario: "api.Scenario", placement) -> "api.Scenario":
-    """The scenario with its placement overridden from ``--placement``."""
-    import dataclasses
-
-    spec = api.as_placement(placement)
-    return api.Scenario(dataclasses.replace(scenario.spec, placement=spec))
-
-
-def _resolve_cluster_arg(name: str) -> tuple["api.Scenario", bool]:
-    """A cluster name (registry, alias-tolerant) or a scenario file path.
-
-    Only ``.toml``/``.json`` arguments are treated as files, so a
-    stray local file named after a cluster can never shadow the
-    registry.  Returns ``(scenario, from_file)``; the caller turns
-    lookup errors (:class:`UnknownNameError` / :class:`ScenarioError`)
-    into exit codes.
+    Only ``.toml``/``.json`` arguments are files, so a stray local file
+    named after a cluster can never shadow the registry.  *workload*
+    (:class:`~repro.scenario.WorkloadSpec` fields; ``None`` values are
+    dropped) is a cluster name's grid; a scenario file brings its own.
     """
-    if name.endswith((".toml", ".json")):
-        return api.Scenario.from_file(name), True
-    return api.Scenario.from_name(name), False
+    if args.cluster.endswith(_SCENARIO_SUFFIXES):
+        return _scenario_file(args.cluster)
+    return api.Scenario.from_name(
+        args.cluster, **{k: v for k, v in workload.items() if v is not None}
+    )
 
 
-def _load_scenario(path: str) -> "api.Scenario | None":
-    """Load a scenario file, printing a clean error on failure."""
-    try:
-        return api.Scenario.from_file(path)
-    except (OSError, ScenarioError, UnknownNameError) as exc:
-        print(exc, file=sys.stderr)
+def _size(text: str | None, flag: str = "--size") -> int | None:
+    """A message-size argument in bytes (``None`` passes through)."""
+    if text is None:
         return None
+    with _failing(f"invalid {flag}", ValueError, code=2):
+        return parse_size(text)
+
+
+def _csv_list(text: str) -> list[str]:
+    """Split a comma-separated CLI value, dropping empties."""
+    return [item.strip() for item in text.split(",") if item.strip()]
+
+
+def _save_json(path: str, document: dict):
+    """Write *document* as indented JSON (parents created); returns the path."""
+    import json as _json
+    from pathlib import Path
+
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(_json.dumps(document, indent=2) + "\n")
+    return path
 
 
 def _print_sweep_summary(result, *, csv=None, jsonl=None, streamed=()) -> None:
@@ -332,187 +350,126 @@ def _progress_printer():
     return _report
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _cmd_run(args: argparse.Namespace) -> None:
     if args.scenario and args.experiment:
-        print(
-            "run takes an experiment id or --scenario FILE, not both",
-            file=sys.stderr,
-        )
-        return 2
-    if not _check_engine(args.engine):
-        return 2
+        raise _Exit(2, "run takes an experiment id or --scenario FILE, not both")
     placement = None
     if args.placement:
-        try:
+        with _failing("invalid --placement", ScenarioError, code=2):
             placement = api.PlacementSpec.parse(args.placement)
-        except ScenarioError as exc:
-            print(f"invalid --placement: {exc}", file=sys.stderr)
-            return 2
     if args.scenario:
         return _run_scenario(args, placement)
     if args.placement:
         # Experiments fix their own rank mappings (table_placement
         # sweeps them internally); only scenario runs take the override.
-        print("--placement needs --scenario FILE", file=sys.stderr)
-        return 2
+        raise _Exit(2, "--placement needs --scenario FILE")
     if not args.experiment:
-        print("run needs an experiment id or --scenario FILE", file=sys.stderr)
-        return 2
+        raise _Exit(2, "run needs an experiment id or --scenario FILE")
     if args.engine:
         # Experiment drivers thread no engine parameter; setting the
         # process-wide default (REPRO_SIM_ENGINE) reaches every
         # measurement they run.
-        import os
-
         from .engines import ENGINE_ENV
 
-        os.environ[ENGINE_ENV] = api.ENGINES.canonical(args.engine)
+        os.environ[ENGINE_ENV] = args.engine
     _ledger_note(experiment=args.experiment, scale=args.scale)
-    result = run_experiment(args.experiment, scale=args.scale, seed=args.seed)
+    result = run_experiment(args.experiment, scale=args.scale, seed=args.seed or 0)
     print(result.render())
     if args.csv:
         result.save_csv(args.csv)
         print(f"\nsaved: {args.csv}")
-    return 0
 
 
-def _run_scenario(args: argparse.Namespace, placement) -> int:
+def _run_scenario(args: argparse.Namespace, placement) -> None:
     """Sweep a scenario file's workload grid, then fit its signature."""
-    scenario = _load_scenario(args.scenario)
-    if scenario is None:
-        return 2
-    if args.engine:
-        scenario = _with_engine(scenario, args.engine)
-    if placement is not None:
-        scenario = _with_placement(scenario, placement)
+    scenario = _scenario_file(
+        args.scenario, engine=args.engine, placement=placement
+    )
     print(f"scenario  : {scenario.describe()}")
     _ledger_note(scenario=args.scenario, scenario_key=_scenario_key(scenario))
-    try:
+    with _failing("sweep failed"):
         result = scenario.sweep()
-    except (MeasurementError, ScenarioError, SimulationError) as exc:
-        print(f"sweep failed: {exc}", file=sys.stderr)
-        return 1
     print(f"points    : {result.n_points}")
     _print_sweep_summary(result, csv=args.csv)
-    try:
+    with _failing("cannot fit signature"):
         ch = scenario.fit_signature()
-    except (FittingError, MeasurementError, SimulationError) as exc:
-        print(f"cannot fit signature: {exc}", file=sys.stderr)
-        return 1
     print(f"hockney   : {ch.hockney_fit.params}")
     print(f"signature : {ch.signature}")
-    return 0
 
 
-def _cmd_characterize(args: argparse.Namespace) -> int:
-    if not _check_engine(args.engine):
-        return 2
-    try:
-        scenario, from_file = _resolve_cluster_arg(args.cluster)
-    except (OSError, UnknownNameError, ScenarioError) as exc:
-        print(exc, file=sys.stderr)
-        return 2
+def _cmd_characterize(args: argparse.Namespace) -> None:
+    from .measure.pipeline import DEFAULT_SAMPLE_SIZES
+
+    # Plain cluster names keep the historical CLI workload (n'=16, the
+    # pipeline's 8-size ladder); scenario files bring their own.
+    scenario = _target(args, nprocs=(16,), sizes=DEFAULT_SAMPLE_SIZES)
     cluster = scenario.profile
     workload = scenario.spec.workload
     _ledger_note(cluster=cluster.name, scenario_key=_scenario_key(scenario))
-    kwargs = {}
-    if args.engine:
-        kwargs["engine"] = args.engine
-    if not from_file:
-        # Plain cluster names keep the historical CLI defaults (n'=16,
-        # the pipeline's 8-size ladder); scenario files bring their own
-        # workload.
-        from .measure.pipeline import DEFAULT_SAMPLE_SIZES
-
-        kwargs["sample_sizes"] = DEFAULT_SAMPLE_SIZES
-    try:
+    with _failing("cannot fit signature"):
         ch = scenario.fit_signature(
-            sample_nprocs=(
-                args.nprocs
-                or (workload.fit_nprocs if from_file else 16)
-            ),
-            reps=args.reps if args.reps is not None
-            else (workload.reps if from_file else 2),
-            seed=args.seed if args.seed is not None
-            else (workload.seeds[0] if from_file else 0),
-            **kwargs,
+            sample_nprocs=args.nprocs or workload.fit_nprocs,
+            reps=args.reps if args.reps is not None else workload.reps,
+            seed=args.seed if args.seed is not None else workload.seeds[0],
+            engine=args.engine or scenario.spec.engine,
         )
-    except (FittingError, MeasurementError, SimulationError) as exc:
-        print(f"cannot fit signature: {exc}", file=sys.stderr)
-        return 1
-    hockney = ch.hockney_fit.params
-    sig = ch.signature
     print(f"cluster     : {cluster.name}")
     print(f"description : {cluster.description}")
-    print(f"hockney     : {hockney}")
-    print(f"signature   : {sig}")
+    print(f"hockney     : {ch.hockney_fit.params}")
+    print(f"signature   : {ch.signature}")
     if cluster.paper:
         print(
             f"paper       : gamma={cluster.paper.gamma} "
             f"delta={cluster.paper.delta * 1e3:.2f} ms "
             f"M={cluster.paper.threshold} B"
         )
-    return 0
 
 
-def _cmd_predict(args: argparse.Namespace) -> int:
-    try:
-        scenario, _ = _resolve_cluster_arg(args.cluster)
-    except (OSError, UnknownNameError, ScenarioError) as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    size = parse_size(args.msg_size)
+def _cmd_predict(args: argparse.Namespace) -> None:
+    scenario = _target(args)
+    size = _size(args.msg_size, "msg_size")
+    if args.nprocs < 2:
+        raise _Exit(
+            2, f"invalid nprocs: an All-to-All needs at least 2, got {args.nprocs}"
+        )
     try:
         signature = scenario.paper_signature(size)
     except ScenarioError:
-        print("no paper signature recorded for this cluster", file=sys.stderr)
-        return 1
+        raise _Exit(1, "no paper signature recorded for this cluster") from None
     time = signature.predict(args.nprocs, size)
     bound = signature.lower_bound(args.nprocs, size)
     print(f"predicted MPI_Alltoall({args.nprocs} procs, {size} B):")
     print(f"  prediction : {format_time(float(time))}")
     print(f"  lower bound: {format_time(float(bound))}")
     print(f"  signature  : {signature}")
-    return 0
 
 
-def _cmd_optimize_placement(args: argparse.Namespace) -> int:
-    try:
-        scenario, _ = _resolve_cluster_arg(args.cluster)
-    except (OSError, UnknownNameError, ScenarioError) as exc:
-        print(exc, file=sys.stderr)
-        return 2
+def _cmd_optimize_placement(args: argparse.Namespace) -> None:
+    scenario = _target(args)
     try:
         optimizer = api.OptimizerSpec.parse(args.optimizer)
     except ScenarioError as exc:
         # Unknown names print as-is ("unknown placement optimizer ...").
-        unknown_name = isinstance(exc.__cause__, UnknownNameError)
-        print(
-            exc if unknown_name else f"invalid optimizer parameters: {exc}",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        pattern = api.PatternSpec.parse(args.pattern) if args.pattern else None
-    except ScenarioError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+        if isinstance(exc.__cause__, UnknownNameError):
+            raise
+        raise _Exit(2, f"invalid optimizer parameters: {exc}") from exc
+    pattern = api.PatternSpec.parse(args.pattern) if args.pattern else None
+    size = _size(args.size)
     _ledger_note(
         cluster=scenario.name, optimizer=optimizer.name,
         scenario_key=_scenario_key(scenario),
     )
-    try:
+    with _failing(
+        "cannot optimize placement", MeasurementError, SimulationError, ValueError
+    ):
         result = scenario.optimize_placement(
             args.nprocs,
-            parse_size(args.size) if args.size is not None else None,
+            size,
             optimizer=optimizer.name,
             seed=args.seed,
             params=dict(optimizer.params),
             pattern=pattern,
         )
-    except (MeasurementError, ScenarioError, SimulationError, ValueError) as exc:
-        print(f"cannot optimize placement: {exc}", file=sys.stderr)
-        return 1
     workload = scenario.spec.workload
     n = args.nprocs if args.nprocs is not None else workload.fit_nprocs
     print(f"cluster    : {scenario.name}")
@@ -532,61 +489,35 @@ def _cmd_optimize_placement(args: argparse.Namespace) -> int:
             f"at n={n}; the mapping above ties it",
         )
     if args.json:
-        import json as _json
-        from pathlib import Path
-
-        path = Path(args.json)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(_json.dumps(result.to_dict(), indent=2) + "\n")
-        print(f"json       : {path}")
-    return 0
+        print(f"json       : {_save_json(args.json, result.to_dict())}")
 
 
-def _csv_list(text: str) -> list[str]:
-    """Split a comma-separated CLI value, dropping empties."""
-    return [item.strip() for item in text.split(",") if item.strip()]
-
-
-def _model_scenario(args) -> "api.Scenario | None":
-    """The fit/compare-models target: a cluster name or scenario file.
+def _model_scenario(args) -> "api.Scenario":
+    """The fit/compare-models target.
 
     Workload override flags (``--nprocs``/``--sizes``/``--reps``/
-    ``--seed``) apply to plain cluster names only; scenario files bring
-    their own grid.  Prints a clean error and returns ``None`` on any
-    lookup/validation failure.
+    ``--seed``) shape a plain cluster name's grid; a scenario file
+    brings its own grid, so giving them with one is rejected.
     """
-    overrides = {}
-    try:
+    workload = {}
+    with _failing("invalid workload flags", ValueError, code=2):
         if args.nprocs:
-            overrides["nprocs"] = tuple(int(n) for n in _csv_list(args.nprocs))
+            workload["nprocs"] = tuple(int(n) for n in _csv_list(args.nprocs))
         if args.sizes:
-            overrides["sizes"] = tuple(
-                parse_size(s) for s in _csv_list(args.sizes)
-            )
-    except ValueError as exc:
-        print(f"invalid workload flags: {exc}", file=sys.stderr)
-        return None
+            workload["sizes"] = tuple(parse_size(s) for s in _csv_list(args.sizes))
     if args.reps is not None:
-        overrides["reps"] = args.reps
+        workload["reps"] = args.reps
     if args.seed is not None:
-        overrides["seeds"] = (args.seed,)
-    if args.cluster.endswith((".toml", ".json")):
-        if overrides:
-            given = ", ".join(
-                f"--{f}" for f in ("nprocs", "sizes", "reps", "seed")
-                if getattr(args, f) is not None
-            )
-            print(
-                f"a scenario file brings its own workload grid; drop {given}",
-                file=sys.stderr,
-            )
-            return None
-        return _load_scenario(args.cluster)
-    try:
-        return api.Scenario.from_name(args.cluster, **overrides)
-    except (UnknownNameError, ScenarioError) as exc:
-        print(exc, file=sys.stderr)
-        return None
+        workload["seeds"] = (args.seed,)
+    if workload and args.cluster.endswith(_SCENARIO_SUFFIXES):
+        given = ", ".join(
+            f"--{f}" for f in ("nprocs", "sizes", "reps", "seed")
+            if getattr(args, f) is not None
+        )
+        raise _Exit(
+            2, f"a scenario file brings its own workload grid; drop {given}"
+        )
+    return _target(args, **workload)
 
 
 def _model_samples(args, scenario):
@@ -596,62 +527,46 @@ def _model_samples(args, scenario):
     sweep files work, and a sweep file measured on another fabric —
     sink files always carry the cluster column — cannot silently fit
     under this target's ping-pong/topology context; unlabelled
-    hand-rolled rows are trusted as-is).  Returns
-    ``(samples, error_exit_code)``; samples stay ``None`` when the
-    scenario should measure its own grid.
+    hand-rolled rows are trusted as-is).  ``None`` means the scenario
+    should measure its own grid.
     """
     if not args.from_rows:
-        return None, None
+        return None
     from .analysis.io import read_rows
     from .models import samples_from_rows
 
-    try:
-        rows = read_rows(args.from_rows)
-        samples = samples_from_rows(rows, cluster=scenario.name)
-    except OSError as exc:
-        print(exc, file=sys.stderr)
-        return None, 2
-    except (FittingError, ValueError) as exc:
-        print(f"cannot load samples from {args.from_rows}: {exc}", file=sys.stderr)
-        return None, 2
+    with _failing(None, OSError, code=2), _failing(
+        f"cannot load samples from {args.from_rows}",
+        FittingError, ValueError, code=2,
+    ):
+        samples = samples_from_rows(
+            read_rows(args.from_rows), cluster=scenario.name
+        )
     if not samples:
-        print(
+        raise _Exit(
+            1,
             f"{args.from_rows} holds no usable uniform-pattern rows for "
             f"cluster {scenario.name!r}",
-            file=sys.stderr,
         )
-        return None, 1
-    return samples, None
+    return samples
 
 
-def _cmd_fit(args: argparse.Namespace) -> int:
-    scenario = _model_scenario(args)
-    if scenario is None:
-        return 2
-    samples, code = _model_samples(args, scenario)
-    if code is not None:
-        return code
+def _cmd_fit(args: argparse.Namespace) -> None:
     from .models import get_model, score_fit
 
-    name = args.model or scenario.spec.model
-    try:
-        model = get_model(name)
-    except UnknownNameError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    scenario = _model_scenario(args)
+    samples = _model_samples(args, scenario)
+    model = get_model(args.model or scenario.spec.model)
     print(f"scenario  : {scenario.describe()}")
     print(f"model     : {model.name}")
     _ledger_note(
         cluster=scenario.name, model=model.name,
         scenario_key=_scenario_key(scenario),
     )
-    try:
+    with _failing(f"cannot fit {model.name}"):
         fitted = scenario.fit_model(model.name, samples=samples)
         used = samples if samples is not None else scenario.grid_samples()
         score = score_fit(fitted, used)
-    except (FittingError, MeasurementError, ScenarioError) as exc:
-        print(f"cannot fit {model.name}: {exc}", file=sys.stderr)
-        return 1
     schema = {spec.name: spec for spec in model.param_schema}
     width = max(len(n) for n in schema)
     for pname, value in sorted(fitted.params.items()):
@@ -663,37 +578,25 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         f"in-sample : mape={score.mape:.2f}% rmse={format_time(score.rmse)} "
         f"over {score.n_samples} samples"
     )
-    return 0
 
 
-def _cmd_compare_models(args: argparse.Namespace) -> int:
+def _cmd_compare_models(args: argparse.Namespace) -> None:
     scenario = _model_scenario(args)
-    if scenario is None:
-        return 2
-    samples, code = _model_samples(args, scenario)
-    if code is not None:
-        return code
+    samples = _model_samples(args, scenario)
     models = _csv_list(args.models) if args.models else None
     print(f"scenario  : {scenario.describe()}")
     _ledger_note(
         cluster=scenario.name, scenario_key=_scenario_key(scenario)
     )
-    try:
+    with _failing("cannot compare models"):
         comparison = scenario.compare_models(
             models, samples=samples, k=args.k
         )
-    except UnknownNameError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    except (FittingError, MeasurementError, ScenarioError) as exc:
-        print(f"cannot compare models: {exc}", file=sys.stderr)
-        return 1
     print(comparison.render())
     if not any(r.ok for r in comparison.reports):
         # The table above shows each model's reason; a comparison that
         # produced zero fits is a failure, not a ranking.
-        print("no model could be fitted on these samples", file=sys.stderr)
-        return 1
+        raise _Exit(1, "no model could be fitted on these samples")
     if comparison.reports and comparison.reports[0].ok:
         best = comparison.reports[0]
         print(
@@ -702,17 +605,10 @@ def _cmd_compare_models(args: argparse.Namespace) -> int:
             f"{comparison.n_samples} samples)"
         )
     if args.json:
-        import json as _json
-        from pathlib import Path
-
-        path = Path(args.json)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(_json.dumps(comparison.to_dict(), indent=2) + "\n")
-        print(f"json      : {path}")
-    return 0
+        print(f"json      : {_save_json(args.json, comparison.to_dict())}")
 
 
-def _scenario_sweep_models(args, scenario, result) -> int:
+def _scenario_sweep_models(args, scenario, result) -> None:
     """``sweep --scenario FILE --models ...``: compare on the sweep's
     samples under the scenario's own profile/ping-pong context."""
     samples = [
@@ -726,38 +622,21 @@ def _scenario_sweep_models(args, scenario, result) -> int:
             "regular All-to-All under the default mapping)",
             file=sys.stderr,
         )
-        return 0
-    try:
+        return
+    # e.g. the post-sweep ping-pong context measurement failing — the
+    # sweep itself already succeeded and streamed/cached.
+    with _failing("model comparison failed"):
         comparison = scenario.compare_models(
             tuple(_csv_list(args.models)), samples=samples
         )
-    except UnknownNameError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    except (FittingError, MeasurementError, ScenarioError) as exc:
-        # e.g. the post-sweep ping-pong context measurement failing —
-        # the sweep itself already succeeded and streamed/cached.
-        print(f"model comparison failed: {exc}", file=sys.stderr)
-        return 1
     print(f"\nmodel comparison — {scenario.name}:")
     print(comparison.render())
-    return 0
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
-    if not _check_engine(args.engine):
-        return 2
-    try:
-        scenario, _ = _resolve_cluster_arg(args.cluster)
-    except (OSError, UnknownNameError, ScenarioError) as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    try:
-        size = parse_size(args.size) if args.size is not None else None
-    except ValueError as exc:
-        print(f"invalid --size: {exc}", file=sys.stderr)
-        return 2
-    try:
+def _cmd_trace(args: argparse.Namespace) -> None:
+    scenario = _target(args)
+    size = _size(args.size)
+    with _failing("trace failed"):
         observation = scenario.trace(
             args.nprocs,
             size,
@@ -765,9 +644,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             algorithm=args.algorithm,
             engine=args.engine,
         )
-    except (MeasurementError, ScenarioError, SimulationError) as exc:
-        print(f"trace failed: {exc}", file=sys.stderr)
-        return 1
     # Without --out the serialized trace goes to stdout, so the
     # human-readable summary moves to stderr to keep stdout parseable.
     info = sys.stdout if args.out else sys.stderr
@@ -781,36 +657,26 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         sys.stdout.write(document)
         if not document.endswith("\n"):
             sys.stdout.write("\n")
-    return 0
 
 
-def _cmd_bench_ingest(args: argparse.Namespace) -> int:
+def _cmd_bench_ingest(args: argparse.Namespace) -> None:
     """Load BENCH_*.json records into the run ledger."""
     from .obs.bench import load_records
     from .obs.ledger import default_ledger
 
-    try:
+    with _failing(None, FileNotFoundError, ValueError, code=2):
         records = load_records(args.paths)
-    except (FileNotFoundError, ValueError) as exc:
-        print(exc, file=sys.stderr)
-        return 2
     if not records:
-        print("no schema-conforming bench records found", file=sys.stderr)
-        return 1
+        raise _Exit(1, "no schema-conforming bench records found")
     ledger = default_ledger()
     if not ledger.enabled:
-        print(
-            "ledger disabled (REPRO_LEDGER); nothing ingested",
-            file=sys.stderr,
-        )
-        return 1
+        raise _Exit(1, "ledger disabled (REPRO_LEDGER); nothing ingested")
     for record in records:
         ledger.record("bench", bench=record.get("bench"), record=record)
     print(f"ingested {len(records)} bench record(s) into {ledger.path}")
-    return 0
 
 
-def _cmd_bench_report(args: argparse.Namespace) -> int:
+def _cmd_bench_report(args: argparse.Namespace) -> None:
     """Render the per-metric trajectory recorded in the ledger."""
     from .obs.bench import render_trajectory
     from .obs.ledger import Ledger, default_ledger
@@ -818,47 +684,36 @@ def _cmd_bench_report(args: argparse.Namespace) -> int:
     ledger = Ledger(args.ledger) if args.ledger else default_ledger()
     entries = ledger.entries(kind="bench")
     print(render_trajectory(entries, bench=args.bench, metric=args.metric))
-    return 0
 
 
-def _cmd_bench_compare(args: argparse.Namespace) -> int:
+def _cmd_bench_compare(args: argparse.Namespace) -> None:
     """Gate current bench records against committed baselines."""
     from .obs.bench import compare, load_records, render_findings
 
-    try:
+    with _failing(None, FileNotFoundError, ValueError, code=2):
         baseline = load_records(args.baseline)
         current = load_records(args.paths)
-    except (FileNotFoundError, ValueError) as exc:
-        print(exc, file=sys.stderr)
-        return 2
     if not baseline:
-        print("no schema-conforming baseline records", file=sys.stderr)
-        return 2
+        raise _Exit(2, "no schema-conforming baseline records")
     if not current:
-        print("no schema-conforming current records", file=sys.stderr)
-        return 2
+        raise _Exit(2, "no schema-conforming current records")
     findings = compare(baseline, current)
     print(render_findings(findings))
     bad = [f for f in findings if not f.ok]
     _ledger_note(tracked=len(findings), regressions=len(bad))
-    return 1 if bad else 0
+    if bad:
+        raise _Exit(1)
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> None:
     from .sweeps import ResultCache, SweepRunner, SweepSpec, default_cache_dir
 
-    if not _check_engine(args.engine):
-        return 2
     if args.heartbeat is not None and args.heartbeat <= 0:
-        print(
-            "invalid sweep options: --heartbeat must be positive",
-            file=sys.stderr,
-        )
-        return 2
+        raise _Exit(2, "invalid sweep options: --heartbeat must be positive")
     cache = None if args.no_cache else ResultCache(
         args.cache_dir or default_cache_dir()
     )
-    try:
+    with _failing("invalid sweep options", ValueError, code=2):
         runner = SweepRunner(
             workers=args.workers,
             cache=cache,
@@ -867,9 +722,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             on_error="keep" if args.keep_going else "raise",
         )
         sinks, streamed = _sweep_sinks(args)
-    except ValueError as exc:
-        print(f"invalid sweep options: {exc}", file=sys.stderr)
-        return 2
     progress = _progress_printer() if args.progress else None
 
     # --models is absent here on purpose: it is a post-processing hook,
@@ -881,94 +733,65 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.scenario:
         given = [f"--{f}" for f in axis_flags if getattr(args, f) is not None]
         if given:
-            print(
+            raise _Exit(
+                2,
                 f"--scenario brings its own workload grid; drop {', '.join(given)}",
-                file=sys.stderr,
             )
-            return 2
-        scenario = _load_scenario(args.scenario)
-        if scenario is None:
-            return 2
-        if args.engine:
-            scenario = _with_engine(scenario, args.engine)
-        if args.heartbeat is not None:
-            from .obs.heartbeat import HeartbeatSink
-
-            sinks = sinks + (HeartbeatSink(args.heartbeat),)
+        scenario = _scenario_file(args.scenario, engine=args.engine)
+        label, total = scenario.describe(), None
+        run = functools.partial(scenario.sweep, runner=runner)
         _ledger_note(
             scenario=args.scenario, scenario_key=_scenario_key(scenario)
         )
-        try:
-            result = scenario.sweep(runner=runner, sinks=sinks, progress=progress)
-        except (MeasurementError, ScenarioError, SimulationError) as exc:
-            print(f"sweep failed: {exc}", file=sys.stderr)
-            return 1
-        print(f"sweep     : {scenario.describe()}")
-        print(f"workers   : {runner.workers} ({runner.executor_name} executor)")
-        print(f"cache     : {cache.root if cache is not None else 'disabled'}")
-        _print_sweep_summary(result, streamed=streamed)
-        if args.profile:
-            print(result.profile().render())
-        if args.models:
-            code = _scenario_sweep_models(args, scenario, result)
-            if code:
-                return code
-        return 1 if result.n_failed else 0
-
-    try:
-        spec = SweepSpec(
-            clusters=tuple(_csv_list(args.clusters or "gigabit-ethernet")),
-            nprocs=tuple(int(n) for n in _csv_list(args.nprocs or "4,8")),
-            sizes=tuple(
-                parse_size(s) for s in _csv_list(args.sizes or "2kB,32kB,256kB")
-            ),
-            algorithms=tuple(_csv_list(args.algorithms or "direct")),
-            patterns=(
-                tuple(api.PatternSpec.parse(p) for p in args.pattern)
-                if args.pattern
-                else (None,)
-            ),
-            placements=(
-                tuple(api.PlacementSpec.parse(p) for p in args.placement)
-                if args.placement
-                else (None,)
-            ),
-            seeds=tuple(int(s) for s in _csv_list(args.seeds or "0")),
-            reps=args.reps if args.reps is not None else 1,
-            models=tuple(_csv_list(args.models)) if args.models else (),
-            engine=args.engine,
-        )
-    except ValueError as exc:
-        print(f"invalid sweep spec: {exc}", file=sys.stderr)
-        return 2
+    else:
+        with _failing("invalid sweep spec", ValueError, code=2):
+            spec = SweepSpec(
+                clusters=tuple(_csv_list(args.clusters or "gigabit-ethernet")),
+                nprocs=tuple(int(n) for n in _csv_list(args.nprocs or "4,8")),
+                sizes=tuple(
+                    parse_size(s)
+                    for s in _csv_list(args.sizes or "2kB,32kB,256kB")
+                ),
+                algorithms=tuple(_csv_list(args.algorithms or "direct")),
+                patterns=(
+                    tuple(api.PatternSpec.parse(p) for p in args.pattern)
+                    if args.pattern
+                    else (None,)
+                ),
+                placements=(
+                    tuple(api.PlacementSpec.parse(p) for p in args.placement)
+                    if args.placement
+                    else (None,)
+                ),
+                seeds=tuple(int(s) for s in _csv_list(args.seeds or "0")),
+                reps=args.reps if args.reps is not None else 1,
+                models=tuple(_csv_list(args.models)) if args.models else (),
+                engine=args.engine,
+            )
+        label, total = spec.describe(), spec.n_points
+        run = functools.partial(runner.run, spec)
+        _ledger_note(spec=spec.describe(), n_points=spec.n_points)
     if args.heartbeat is not None:
         from .obs.heartbeat import HeartbeatSink
 
-        sinks = sinks + (HeartbeatSink(args.heartbeat, total=spec.n_points),)
-    _ledger_note(spec=spec.describe(), n_points=spec.n_points)
-    try:
-        result = runner.run(spec, sinks=sinks, progress=progress)
-    except KeyError as exc:
-        print(exc.args[0] if exc.args else str(exc), file=sys.stderr)
-        return 2
-    except FittingError as exc:
-        # The post-sweep model comparison failed; the points themselves
-        # are already cached/streamed.
-        print(f"model comparison failed: {exc}", file=sys.stderr)
-        return 1
-    except (MeasurementError, ScenarioError, SimulationError) as exc:
-        # e.g. a pattern whose matrix degenerates at some grid point
-        # (shift:offset=n) — report cleanly, not as a traceback.
-        print(f"sweep failed: {exc}", file=sys.stderr)
-        return 1
+        sinks = sinks + (HeartbeatSink(args.heartbeat, total=total),)
+    # A failed post-sweep model comparison (FittingError) leaves the
+    # points already cached/streamed; a pattern whose matrix degenerates
+    # at some grid point (shift:offset=n) fails the sweep itself.
+    with _failing(None, KeyError, code=2), _failing("sweep failed"), _failing(
+        "model comparison failed", FittingError
+    ):
+        result = run(sinks=sinks, progress=progress)
 
-    print(f"sweep     : {spec.describe()}")
+    print(f"sweep     : {label}")
     print(f"workers   : {runner.workers} ({runner.executor_name} executor)")
     print(f"cache     : {cache.root if cache is not None else 'disabled'}")
     _print_sweep_summary(result, streamed=streamed)
     if args.profile:
         print(result.profile().render())
-    if spec.models and not result.comparisons:
+    if args.scenario and args.models:
+        _scenario_sweep_models(args, scenario, result)
+    if not args.scenario and spec.models and not result.comparisons:
         print(
             "model comparison skipped: no successful uniform-pattern "
             "points (the zoo models predict the regular All-to-All)",
@@ -977,7 +800,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     for cluster_name, comparison in sorted((result.comparisons or {}).items()):
         print(f"\nmodel comparison — {cluster_name}:")
         print(comparison.render())
-    if not sinks:
+    if not args.scenario and not sinks:
         slowest = sorted(
             (r for r in result.results if r.ok),
             key=lambda r: r.sample.mean_time, reverse=True,
@@ -989,7 +812,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 f"n={r.point.n_processes:<3} m={r.point.msg_size:<8} "
                 f"{format_time(r.sample.mean_time)}"
             )
-    return 1 if result.n_failed else 0
+    if result.n_failed:
+        raise _Exit(1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1000,6 +824,58 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+
+    # Parent parsers for the flags several subcommands share.
+    target = argparse.ArgumentParser(add_help=False)
+    target.add_argument(
+        "cluster",
+        help="registered cluster name (alias-tolerant) or scenario file "
+             "(.toml/.json)",
+    )
+    engine = argparse.ArgumentParser(add_help=False)
+    engine.add_argument(
+        "--engine", default=None, metavar="NAME",
+        help="simulation engine: fluid (reference, default) or vector "
+             "(batched; see `list engines`)",
+    )
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument(
+        "--seed", type=int, default=None,
+        help="base seed (default: the workload's first; run: 0)",
+    )
+    point = argparse.ArgumentParser(add_help=False)
+    point.add_argument(
+        "--nprocs", type=int, default=None,
+        help="process count (default: the workload's fit n')",
+    )
+    point.add_argument(
+        "--size", default=None, metavar="SIZE",
+        help="message size, bytes or a string like 256kB (default: from "
+             "the workload)",
+    )
+    json_out = argparse.ArgumentParser(add_help=False)
+    json_out.add_argument(
+        "--json", default=None, metavar="FILE",
+        help="save the result as JSON",
+    )
+    model_grid = argparse.ArgumentParser(add_help=False)
+    model_grid.add_argument(
+        "--nprocs", default=None,
+        help="comma-separated process counts for the fit grid "
+             "(cluster names only; default: 4,8)",
+    )
+    model_grid.add_argument(
+        "--sizes", default=None,
+        help="comma-separated message sizes, bytes or strings like "
+             "256kB (cluster names only)",
+    )
+    model_grid.add_argument("--reps", type=int, default=None,
+                            help="repetitions per grid point")
+    model_grid.add_argument(
+        "--from-rows", default=None, metavar="FILE",
+        help="fit on rows from a sweep CSV/JSONL file instead of "
+             "measuring the grid (typed via analysis.io.read_rows)",
+    )
 
     p_list = sub.add_parser(
         "list",
@@ -1013,7 +889,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_list.set_defaults(func=_cmd_list)
 
-    p_run = sub.add_parser("run", help="run one experiment or a scenario file")
+    p_run = sub.add_parser(
+        "run", parents=[engine, seed],
+        help="run one experiment or a scenario file",
+    )
     p_run.add_argument(
         "experiment", nargs="?", choices=sorted(EXPERIMENTS), default=None
     )
@@ -1023,13 +902,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument("--scale", default="default",
                        choices=["smoke", "default", "full"])
-    p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--csv", default=None, help="save data rows to CSV")
-    p_run.add_argument(
-        "--engine", default=None, metavar="NAME",
-        help="simulation engine: fluid (reference, default) or vector "
-             "(batched; see `list engines`)",
-    )
     p_run.add_argument(
         "--placement", default=None, metavar="NAME[:K=V,...]",
         help="rank→host mapping override for --scenario runs, e.g. "
@@ -1038,51 +911,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=_cmd_run)
 
     p_char = sub.add_parser(
-        "characterize", help="fit a cluster's contention signature"
-    )
-    p_char.add_argument(
-        "cluster",
-        help="registered cluster name (alias-tolerant) or scenario file",
+        "characterize", parents=[target, engine, seed],
+        help="fit a cluster's contention signature",
     )
     p_char.add_argument("--nprocs", type=int, default=None)
     p_char.add_argument("--reps", type=int, default=None)
-    p_char.add_argument("--seed", type=int, default=None)
-    p_char.add_argument(
-        "--engine", default=None, metavar="NAME",
-        help="simulation engine for the All-to-All sweep (the ping-pong "
-             "stays on the reference fluid engine; see `list engines`)",
-    )
     p_char.set_defaults(func=_cmd_characterize)
 
-    def _add_model_workload_flags(p) -> None:
-        """Shared fit/compare-models target + workload-override flags."""
-        p.add_argument(
-            "cluster",
-            help="registered cluster name (alias-tolerant) or scenario file",
-        )
-        p.add_argument(
-            "--nprocs", default=None,
-            help="comma-separated process counts for the fit grid "
-                 "(cluster names only; default: 4,8)",
-        )
-        p.add_argument(
-            "--sizes", default=None,
-            help="comma-separated message sizes, bytes or strings like "
-                 "256kB (cluster names only)",
-        )
-        p.add_argument("--reps", type=int, default=None,
-                       help="repetitions per grid point")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument(
-            "--from-rows", default=None, metavar="FILE",
-            help="fit on rows from a sweep CSV/JSONL file instead of "
-                 "measuring the grid (typed via analysis.io.read_rows)",
-        )
-
     p_fit = sub.add_parser(
-        "fit", help="fit one cost model on a cluster or scenario grid"
+        "fit", parents=[target, model_grid, seed],
+        help="fit one cost model on a cluster or scenario grid",
     )
-    _add_model_workload_flags(p_fit)
     p_fit.add_argument(
         "--model", default=None, metavar="NAME",
         help="registered cost model (default: the scenario's model field, "
@@ -1091,11 +930,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.set_defaults(func=_cmd_fit)
 
     p_cmp = sub.add_parser(
-        "compare-models",
+        "compare-models", parents=[target, model_grid, seed, json_out],
         help="fit several cost models on the same samples and rank them "
              "by cross-validated error",
     )
-    _add_model_workload_flags(p_cmp)
     p_cmp.add_argument(
         "--models", default=None,
         help="comma-separated model names (default: every registered "
@@ -1105,40 +943,20 @@ def build_parser() -> argparse.ArgumentParser:
         "--k", type=int, default=4,
         help="cross-validation fold count (default: 4)",
     )
-    p_cmp.add_argument(
-        "--json", default=None, metavar="FILE",
-        help="save the comparison report as JSON",
-    )
     p_cmp.set_defaults(func=_cmd_compare_models)
 
     p_pred = sub.add_parser(
-        "predict", help="predict an All-to-All time from paper signatures"
-    )
-    p_pred.add_argument(
-        "cluster",
-        help="registered cluster name (alias-tolerant) or scenario file",
+        "predict", parents=[target],
+        help="predict an All-to-All time from paper signatures",
     )
     p_pred.add_argument("nprocs", type=int)
     p_pred.add_argument("msg_size", help="bytes or size string like 256kB")
     p_pred.set_defaults(func=_cmd_predict)
 
     p_opt = sub.add_parser(
-        "optimize-placement",
+        "optimize-placement", parents=[target, point, seed, json_out],
         help="search for a contention-minimising rank→host mapping "
              "(predicted MED objective, no simulation)",
-    )
-    p_opt.add_argument(
-        "cluster",
-        help="registered cluster name (alias-tolerant) or scenario file",
-    )
-    p_opt.add_argument(
-        "--nprocs", type=int, default=None,
-        help="process count (default: the workload's fit n')",
-    )
-    p_opt.add_argument(
-        "--size", default=None, metavar="SIZE",
-        help="message size, bytes or a string like 256kB (default: the "
-             "workload's largest size)",
     )
     p_opt.add_argument(
         "--pattern", default=None, metavar="NAME[:K=V,...]",
@@ -1150,43 +968,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="search strategy, e.g. greedy or anneal:iterations=8000 "
              "(see `list placement-optimizers`; default: greedy)",
     )
-    p_opt.add_argument("--seed", type=int, default=None,
-                       help="search seed (default: the workload's first)")
-    p_opt.add_argument(
-        "--json", default=None, metavar="FILE",
-        help="save the search result (objectives, permutation) as JSON",
-    )
     p_opt.set_defaults(func=_cmd_optimize_placement)
 
     p_trace = sub.add_parser(
-        "trace",
+        "trace", parents=[target, point, engine, seed],
         help="run one instrumented simulation and export its trace "
              "(Chrome/Perfetto JSON or JSONL) plus a contention report",
-    )
-    p_trace.add_argument(
-        "cluster",
-        help="registered cluster name (alias-tolerant) or scenario file",
-    )
-    p_trace.add_argument(
-        "--nprocs", type=int, default=None,
-        help="process count (default: the workload's fit n')",
-    )
-    p_trace.add_argument(
-        "--size", default=None, metavar="SIZE",
-        help="message size, bytes or a string like 256kB (default: the "
-             "workload's first size)",
     )
     p_trace.add_argument(
         "--algorithm", default=None, metavar="NAME",
         help="All-to-All algorithm (default: the scenario's; see "
              "`list algorithms`)",
     )
-    p_trace.add_argument(
-        "--engine", default=None, metavar="NAME",
-        help="simulation engine: fluid (reference, default) or vector "
-             "(batched; see `list engines`)",
-    )
-    p_trace.add_argument("--seed", type=int, default=None)
     p_trace.add_argument(
         "--format", default="chrome", choices=sorted(EXPORT_FORMATS),
         help="export format (default: chrome; see `list trace-formats`)",
@@ -1203,7 +996,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.set_defaults(func=_cmd_trace)
 
     p_sweep = sub.add_parser(
-        "sweep",
+        "sweep", parents=[engine],
         help="run a measurement grid on a worker pool with result caching",
     )
     p_sweep.add_argument(
@@ -1245,12 +1038,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument("--reps", type=int, default=None,
                          help="repetitions per point (default: 1)")
-    p_sweep.add_argument(
-        "--engine", default=None, metavar="NAME",
-        help="simulation engine for every point: fluid (reference, "
-             "default) or vector (batched; composes with --scenario; "
-             "see `list engines`)",
-    )
     p_sweep.add_argument(
         "--models", default=None,
         help="comma-separated cost-model names to fit per cluster on the "
@@ -1374,25 +1161,41 @@ _LEDGERED = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point."""
+    """CLI entry point; returns the exit code.
+
+    The one place exit codes are decided: a handler returns normally
+    (0) or raises :class:`_Exit`; an :class:`UnknownNameError` or
+    :class:`ScenarioError` escaping it rejected the input before work
+    began (2).  ``--engine`` is validated here, once, for every
+    subcommand that takes it.
+    """
     global _ACTIVE_LEDGER
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command not in _LEDGERED:
-        return args.func(args)
-    kind = args.command
-    if kind == "bench":
-        kind = f"bench-{args.bench_command}"
-    _ACTIVE_LEDGER = _LedgerScope(
-        kind, argv=list(argv) if argv is not None else sys.argv[1:]
-    )
+    args = build_parser().parse_args(argv)
+    if args.command in _LEDGERED:
+        kind = args.command
+        if kind == "bench":
+            kind = f"bench-{args.bench_command}"
+        _ACTIVE_LEDGER = _LedgerScope(
+            kind, argv=list(argv) if argv is not None else sys.argv[1:]
+        )
     code = 1
     try:
-        code = args.func(args)
-        return code
+        if getattr(args, "engine", None) is not None:
+            args.engine = api.ENGINES.canonical(args.engine)
+        args.func(args)
+        code = 0
+    except _Exit as exc:
+        code = exc.code
+        if exc.message is not None:
+            print(exc.message, file=sys.stderr)
+    except (UnknownNameError, ScenarioError) as exc:
+        code = 2
+        print(exc, file=sys.stderr)
     finally:
-        scope, _ACTIVE_LEDGER = _ACTIVE_LEDGER, None
-        scope.finish(code)
+        if _ACTIVE_LEDGER is not None:
+            scope, _ACTIVE_LEDGER = _ACTIVE_LEDGER, None
+            scope.finish(code)
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

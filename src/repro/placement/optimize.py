@@ -169,10 +169,15 @@ def optimize_placement(
     at (n, msg_size, seed) — routed over the fabric; see
     :mod:`repro.placement.objective`.  Deterministic given *seed*.
     Unknown *optimizer* names and *params* it does not accept raise
-    :class:`~repro.exceptions.ScenarioError` before any search.
+    :class:`~repro.exceptions.ScenarioError` before any search; fewer
+    than two processes raise :class:`ValueError`.
     """
     spec = OptimizerSpec(optimizer, params or {})
     n = int(n_processes)
+    if n < 2:
+        # As measure_alltoall: with one rank there is no traffic, so both
+        # objectives are 0 and the ratio is undefined.
+        raise ValueError(f"placement search needs at least two processes, got {n}")
     topo = cluster if isinstance(cluster, (Topology,)) else cluster.topology(n)
     W = traffic_matrix(n, int(msg_size), pattern, seed=seed)
     score = PlacementObjective(topo, W)

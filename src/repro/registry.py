@@ -40,6 +40,7 @@ __all__ = [
     "RegisteredSpec",
     "normalize_name",
     "registry_epoch",
+    "all_builtin",
     "TOPOLOGIES",
     "CLUSTERS",
     "ALGORITHMS",
@@ -80,6 +81,19 @@ def registry_epoch() -> int:
 def normalize_name(name: str) -> str:
     """Fold case and separator style (``Fast_Ethernet`` → ``fast-ethernet``)."""
     return "-".join(str(name).strip().lower().replace("_", " ").replace("-", " ").split())
+
+
+def all_builtin(objects) -> bool:
+    """Whether every registered object ships with the repro package.
+
+    Fresh worker processes (``spawn``/``forkserver`` start methods)
+    import only :mod:`repro`, so registrations made in user scripts are
+    absent there.
+    """
+    return all(
+        (getattr(obj, "__module__", "") or "").split(".")[0] == "repro"
+        for obj in objects
+    )
 
 
 class Registry(Generic[T]):

@@ -48,6 +48,7 @@ from .registry import (
     PLACEMENTS,
     TOPOLOGIES,
     CLUSTERS as _CLUSTER_REGISTRY,
+    all_builtin,
 )
 from .simnet.entities import LinkKind
 from .simnet.loss import LossParams
@@ -230,11 +231,11 @@ class ScenarioSpec:
         (``signature`` — the paper's pipeline — when unset).
     engine:
         Registered simulation engine (:data:`repro.registry.ENGINES`)
-        the workload is simulated with.  Unset (or the default
-        ``fluid``, to which explicit spellings canonicalise) defers to
-        the process-wide default and is omitted from serialization and
-        cache payloads, so pre-engine scenario files and cache entries
-        keep their meaning.
+        the workload is simulated with, canonicalised.  Unset defers
+        to the process-wide default (``REPRO_SIM_ENGINE``, else
+        ``fluid``); an explicit name, ``fluid`` included, overrides it.
+        The default engine is omitted from cache payloads, so
+        pre-engine scenario files and cache entries keep their meaning.
     placement:
         Rank→host mapping the workload runs under (a
         :class:`~repro.placement.PlacementSpec`, a registered strategy
@@ -300,12 +301,10 @@ class ScenarioSpec:
                     f"unknown engine {self.engine!r}; "
                     f"known: {', '.join(ENGINES.names())}"
                 )
-            engine = ENGINES.canonical(self.engine)
-            # The default engine collapses to None: one identity, one
-            # serialized form, one cache payload.
-            object.__setattr__(
-                self, "engine", None if engine == DEFAULT_ENGINE else engine
-            )
+            # An explicit engine stays on the spec (even the default:
+            # ``fluid`` must win over REPRO_SIM_ENGINE); cache_payload
+            # leaves the default out.
+            object.__setattr__(self, "engine", ENGINES.canonical(self.engine))
         # Identity collapses to None: one identity, one serialized
         # form, one cache payload (as_placement validates the rest).
         object.__setattr__(self, "placement", as_placement(self.placement))
@@ -532,10 +531,7 @@ class ScenarioSpec:
             objects.append(PATTERNS.get(self.workload.pattern.name))
         if self.placement is not None and not self.placement.is_explicit:
             objects.append(PLACEMENTS.get(self.placement.name))
-        return all(
-            (getattr(obj, "__module__", "") or "").split(".")[0] == "repro"
-            for obj in objects
-        )
+        return all_builtin(objects)
 
     # -- cache integration ---------------------------------------------
 
@@ -558,9 +554,9 @@ class ScenarioSpec:
             "start_skew_scale": self.start_skew_scale,
             "max_hosts": self.max_hosts,
         }
-        if self.engine is not None:
-            # Added only when non-default: pre-engine payloads (and
-            # their hashes) stay byte-identical.
+        if self.engine not in (None, DEFAULT_ENGINE):
+            # Added only when non-default (SweepPoint.key_payload's rule):
+            # pre-engine payloads (and their hashes) stay byte-identical.
             payload["engine"] = self.engine
         if self.placement is not None:
             # Same rule: identity placements never appear, so

@@ -49,7 +49,7 @@ from ..exec.sinks import ResultSink, row_fields
 from ..simnet.stats import stats_enabled
 from ..exec.task import ExecutionTask
 from ..exceptions import ExecutionError, UnknownNameError
-from ..registry import CLUSTERS, EXECUTORS
+from ..registry import CLUSTERS, EXECUTORS, all_builtin
 from ..scenario import ScenarioSpec
 from .cache import ResultCache, point_key, profile_fingerprint
 from .spec import SweepPoint, SweepSpec
@@ -523,46 +523,35 @@ class SweepRunner:
 
     # -- execution ------------------------------------------------------
 
-    @staticmethod
-    def _spawn_safe(points, cluster_names) -> bool:
-        """Whether fresh worker processes can resolve the referenced plugins.
-
-        ``fork`` workers inherit the parent's registries, so anything
-        resolvable here is resolvable there; ``spawn``/``forkserver``
-        workers start from a bare ``import repro`` and only see built-in
-        registrations, so points referencing user-registered clusters or
-        algorithms must stay in-process.
-        """
-        if multiprocessing.get_start_method() == "fork":
-            return True
-        from ..registry import ALGORITHMS, PATTERNS, PLACEMENTS
-
-        objects = [CLUSTERS.get(n) for n in cluster_names]
-        objects += [ALGORITHMS.get(p.algorithm) for p in points]
-        objects += [
-            PATTERNS.get(p.pattern.name)
-            for p in points
-            if p.pattern is not None
-        ]
-        objects += [
-            PLACEMENTS.get(p.placement.name)
-            for p in points
-            if p.placement is not None and not p.placement.is_explicit
-        ]
-        return all(
-            (getattr(obj, "__module__", "") or "").split(".")[0] == "repro"
-            for obj in objects
-        )
-
     def _parallel_safe(
-        self, profile: ClusterProfile | None, points: list[SweepPoint]
+        self,
+        profile: ClusterProfile | None,
+        points: list[SweepPoint],
+        *,
+        inherits: bool = False,
     ) -> bool:
-        """Whether misses may run in worker processes (registry-resolvable)."""
+        """Whether misses may run in worker processes (registry-resolvable).
+
+        *inherits*: the workers are forked and inherit this process's
+        registries; otherwise (``spawn``/``forkserver``) they start from
+        a bare ``import repro``, so points referencing user-registered
+        plugins must stay in-process.
+        """
         names = {p.cluster for p in points} if profile is None else {profile.name}
         if any(name not in CLUSTERS for name in names):
             return False
-        if not self._spawn_safe(points, names):
-            return False
+        if not inherits:
+            from ..registry import ALGORITHMS, PATTERNS, PLACEMENTS
+
+            plugins = [CLUSTERS.get(n) for n in names]
+            for p in points:
+                plugins.append(ALGORITHMS.get(p.algorithm))
+                if p.pattern is not None:
+                    plugins.append(PATTERNS.get(p.pattern.name))
+                if p.placement is not None and not p.placement.is_explicit:
+                    plugins.append(PLACEMENTS.get(p.placement.name))
+            if not all_builtin(plugins):
+                return False
         if profile is None:
             return True
         if CLUSTERS.canonical(profile.name) != profile.name:
@@ -577,20 +566,6 @@ class SweepRunner:
         return profile_fingerprint(
             get_cluster(profile.name), probe_sizes=sizes
         ) == profile_fingerprint(profile, probe_sizes=sizes)
-
-    @staticmethod
-    def _scenario_parallel_safe(scenario: ScenarioSpec) -> bool:
-        """Whether workers can rebuild *scenario* from its spec dict.
-
-        ``fork`` workers inherit the parent's registries, so any
-        scenario is safe; ``spawn``/``forkserver`` workers start from a
-        bare ``import repro`` and only see built-in registrations —
-        scenarios referencing user plugins fall back to in-process
-        execution there instead of crashing mid-sweep.
-        """
-        if multiprocessing.get_start_method() == "fork":
-            return True
-        return scenario.uses_only_builtin_plugins()
 
     def _plan(
         self,
@@ -611,8 +586,13 @@ class SweepRunner:
             and len(misses) > 1
             and getattr(self.executor, "distributed", False)
         )
+        # Forked workers inherit this process's registries, so anything
+        # resolvable here resolves there (asked only when fanning out:
+        # get_start_method() fixes the start method as a side effect).
+        inherits = fan_out and multiprocessing.get_start_method() == "fork"
         if scenario is not None:
-            if fan_out and self._scenario_parallel_safe(scenario):
+            # Spawned workers rebuild a scenario only from built-ins.
+            if fan_out and (inherits or scenario.uses_only_builtin_plugins()):
                 # Scenario specs are picklable even when their profiles
                 # are not: workers rebuild the profile from the dict.
                 payload = scenario.to_dict()
@@ -624,7 +604,9 @@ class SweepRunner:
                 [ExecutionTask(i, points[i], profile=profile) for i in misses],
                 False,
             )
-        if fan_out and self._parallel_safe(profile, [points[i] for i in misses]):
+        if fan_out and self._parallel_safe(
+            profile, [points[i] for i in misses], inherits=inherits
+        ):
             # Registry-resolvable (by construction when profile is set:
             # it probed identical to the registry entry): workers
             # rebuild clusters by name.

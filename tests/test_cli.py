@@ -284,3 +284,79 @@ class TestScenarioCli:
         (tmp_path / "myrinet").write_text("not a scenario")
         assert main(["predict", "myrinet", "8", "64kB"]) == 0
         assert "prediction" in capsys.readouterr().out
+
+
+#: Rejected inputs, per subcommand: (argv, exit code, stderr substring).
+#: Every one exits cleanly — a message, no traceback.
+REJECTED_INPUTS = [
+    (["characterize", "no-such-cluster"], 2, "unknown cluster 'no-such-cluster'"),
+    (["characterize", "myrinet", "--engine", "verlet"], 2, "unknown engine 'verlet'"),
+    (["characterize", "/no/such/file.toml"], 2, "/no/such/file.toml"),
+    (["predict", "no-such-cluster", "8", "1kB"], 2, "unknown cluster"),
+    (["predict", "/no/such/file.toml", "8", "1kB"], 2, "/no/such/file.toml"),
+    (["predict", "myrinet", "8", "12xyz"], 2,
+     "invalid msg_size: cannot parse size '12xyz'"),
+    (["predict", "myrinet", "1", "1kB"], 2, "invalid nprocs"),
+    (["predict", "myrinet", "0", "1kB"], 2, "invalid nprocs"),
+    (["optimize-placement", "no-such-cluster"], 2, "unknown cluster"),
+    (["optimize-placement", "/no/such/file.json"], 2, "/no/such/file.json"),
+    (["optimize-placement", "myrinet", "--size", "12xyz"], 2,
+     "invalid --size: cannot parse size '12xyz'"),
+    (["trace", "no-such-cluster"], 2, "unknown cluster"),
+    (["trace", "myrinet", "--engine", "verlet"], 2, "unknown engine 'verlet'"),
+    (["trace", "/no/such/file.toml"], 2, "/no/such/file.toml"),
+    (["trace", "myrinet", "--size", "12xyz"], 2,
+     "invalid --size: cannot parse size '12xyz'"),
+    (["fit", "no-such-cluster"], 2, "unknown cluster"),
+    (["fit", "/no/such/file.toml"], 2, "/no/such/file.toml"),
+    (["fit", "myrinet", "--sizes", "12xyz"], 2,
+     "invalid workload flags: cannot parse size '12xyz'"),
+    (["compare-models", "no-such-cluster"], 2, "unknown cluster"),
+    (["compare-models", "/no/such/file.toml"], 2, "/no/such/file.toml"),
+    (["compare-models", "myrinet", "--sizes", "12xyz"], 2,
+     "invalid workload flags: cannot parse size '12xyz'"),
+    (["run", "fig02", "--engine", "verlet"], 2, "unknown engine 'verlet'"),
+    (["run", "--scenario", "/no/such/file.toml"], 2, "/no/such/file.toml"),
+    (["sweep", "--clusters", "no-such-cluster", "--no-cache"], 2,
+     "unknown clusters ['no-such-cluster']"),
+    (["sweep", "--engine", "verlet", "--no-cache"], 2, "unknown engine 'verlet'"),
+    (["sweep", "--scenario", "/no/such/file.toml"], 2, "/no/such/file.toml"),
+    (["sweep", "--sizes", "12xyz", "--no-cache"], 2,
+     "invalid sweep spec: cannot parse size '12xyz'"),
+]
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "argv, code, message", REJECTED_INPUTS,
+        ids=[" ".join(argv) for argv, _, _ in REJECTED_INPUTS],
+    )
+    def test_rejected_input(self, argv, code, message, capsys):
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
+    def test_optimize_placement_single_process_is_a_clean_failure(self, capsys):
+        # Used to divide by zero in PlacementResult.ratio.
+        assert main(["optimize-placement", "myrinet", "--nprocs", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "cannot optimize placement" in err
+        assert "at least two processes" in err
+
+    def test_work_failure_exits_1_and_ledger_records_it(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import json
+
+        ledger = tmp_path / "ledger.jsonl"
+        monkeypatch.setenv("REPRO_LEDGER", str(ledger))
+        path = tmp_path / "thin.toml"
+        path.write_text(
+            "[scenario]\nname = \"thin\"\nbase = \"myrinet\"\n"
+            "[scenario.workload]\nnprocs = [4]\nsizes = [1024, 2048]\nreps = 1\n"
+        )
+        assert main(["run", "--scenario", str(path)]) == 1
+        assert "cannot fit signature" in capsys.readouterr().err
+        entry = json.loads(ledger.read_text().splitlines()[-1])
+        assert entry["exit_code"] == 1

@@ -563,11 +563,17 @@ class TestEngineThreading:
         )
         assert all(p.engine == "vector" for p in spec.points())
 
-    def test_scenario_spec_collapses_default_engine(self):
-        spec = ScenarioSpec(name="d", base="myrinet", engine="fluid")
-        assert spec.engine is None
-        assert "engine" not in spec.to_dict()
+    def test_scenario_spec_keeps_explicit_default_engine(self):
+        # An explicit default engine stays on the spec (so it can win
+        # over REPRO_SIM_ENGINE) and round-trips, but never enters the
+        # cache payload: the key is the one an unset engine gives.
+        spec = ScenarioSpec(name="d", base="myrinet", engine="reference")
+        assert spec.engine == "fluid"
+        assert spec.to_dict()["engine"] == "fluid"
+        assert ScenarioSpec.from_dict(spec.to_dict()) == spec
         assert "engine" not in spec.cache_payload()
+        unset = ScenarioSpec(name="d", base="myrinet")
+        assert spec.cache_payload() == unset.cache_payload()
 
     def test_scenario_spec_round_trips_engine(self):
         spec = ScenarioSpec(name="d", base="myrinet", engine="vector")
@@ -601,6 +607,29 @@ class TestEnvDefault:
         )
         assert point.engine == "vector"
         assert point.key_payload()["engine"] == "vector"
+
+    @pytest.mark.parametrize("where", ["file", "flag"])
+    def test_explicit_fluid_scenario_wins_over_env(
+        self, where, monkeypatch, tmp_path
+    ):
+        import json
+
+        monkeypatch.setenv(ENGINE_ENV, "vector")
+        monkeypatch.setenv("REPRO_SIM_STATS", "1")
+        spec = ScenarioSpec.from_dict({
+            "name": "explicit-fluid", "base": "myrinet",
+            "workload": {"nprocs": [4], "sizes": [2048], "reps": 1},
+            **({"engine": "fluid"} if where == "file" else {}),
+        })
+        path = spec.save(tmp_path / "s.toml")
+        rows = tmp_path / "rows.jsonl"
+        argv = ["sweep", "--scenario", str(path), "--no-cache",
+                "--jsonl", str(rows)]
+        if where == "flag":
+            argv += ["--engine", "fluid"]
+        assert main(argv) == 0
+        engines = [json.loads(line)["engine"] for line in rows.open()]
+        assert engines == ["fluid"]
 
     def test_malformed_env_names_the_variable(self, monkeypatch):
         monkeypatch.setenv(ENGINE_ENV, "verlet")

@@ -324,6 +324,13 @@ class TestOptimizers:
                 params={"temperature": 2},
             )
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_processes_rejected(self, n):
+        # One rank sends nothing: both objectives are 0 and the
+        # identity/optimized ratio is undefined.
+        with pytest.raises(ValueError, match="at least two processes"):
+            optimize_placement(get_cluster("gigabit-ethernet"), n, 4096)
+
     def test_optimizer_spec_canonicalises(self):
         spec = OptimizerSpec.parse("swap:max_rounds=8.0")
         assert spec.key() == "greedy(max_rounds=8)"

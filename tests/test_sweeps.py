@@ -444,22 +444,32 @@ class TestSpawnSafety:
 
         return REGISTRY
 
+    @staticmethod
+    def _fans_out(runner, points, profile=None, scenario=None) -> bool:
+        """Whether the planner sends a two-miss batch to worker processes."""
+        return runner._plan([0, 1], points, profile, scenario)[1]
+
     def test_user_cluster_profile_not_parallel_under_spawn(self, monkeypatch):
         registry = self._register_user_cluster()
         try:
             runner = SweepRunner(workers=4)
-            point = SweepPoint("test-user-cluster", 4, 2_048, "direct", 0, 1)
+            points = [
+                SweepPoint("test-user-cluster", 4, size, "direct", 0, 1)
+                for size in (2_048, 4_096)
+            ]
             profile = registry.get("test-user-cluster")()
             monkeypatch.setattr(
                 runner_mod.multiprocessing, "get_start_method", lambda: "fork"
             )
-            assert runner._parallel_safe(profile, [point])
-            assert runner._parallel_safe(None, [point])
+            assert self._fans_out(runner, points, profile)
+            assert self._fans_out(runner, points)
             monkeypatch.setattr(
                 runner_mod.multiprocessing, "get_start_method", lambda: "spawn"
             )
-            assert not runner._parallel_safe(profile, [point])
-            assert not runner._parallel_safe(None, [point])
+            assert not self._fans_out(runner, points, profile)
+            assert not self._fans_out(runner, points)
+            assert not runner._parallel_safe(profile, points)
+            assert not runner._parallel_safe(None, points)
         finally:
             registry.unregister("test-user-cluster")
 
@@ -488,13 +498,18 @@ class TestSpawnSafety:
                 "topology": {"factory": "test-user-switch",
                              "params": {"nic_bandwidth": 1e8}},
             })
+            runner = SweepRunner(workers=4)
+            points = [
+                SweepPoint(spec.name, 4, size, "direct", 0, 1)
+                for size in (2_048, 4_096)
+            ]
             monkeypatch.setattr(
                 runner_mod.multiprocessing, "get_start_method", lambda: "spawn"
             )
-            assert not SweepRunner._scenario_parallel_safe(spec)
+            assert not self._fans_out(runner, points, scenario=spec)
             monkeypatch.setattr(
                 runner_mod.multiprocessing, "get_start_method", lambda: "fork"
             )
-            assert SweepRunner._scenario_parallel_safe(spec)
+            assert self._fans_out(runner, points, scenario=spec)
         finally:
             TOPOLOGIES.unregister("test-user-switch")
